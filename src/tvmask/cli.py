@@ -19,12 +19,12 @@ import numpy as np
 
 from tvmask import config as cfgmod
 from tvmask.config import ConfigError, RunConfig
-from tvmask.corpus.packing import load_packed, pack_to_arrays, save_packed, sequence_view
+from tvmask.corpus.packing import load_packed, pack_to_arrays, save_packed
 from tvmask.corpus.reader import CorpusFormatError, load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.tokenizer import tokenize_aligned
 from tvmask.corpus.vocab import Vocabulary, build_vocab
-from tvmask.masking import ACTION_NAMES, MaskPolicy, build_plan
+from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.model.net import ModelConfig
 from tvmask.postags import UPOS_TAGS
 from tvmask.schedule import ScheduleKind, ScheduleSpec, schedule_rows
@@ -128,11 +128,23 @@ class JsonlSink:
 
 
 def _truncate_jsonl(path, resume_step: int) -> None:
-    """Drop rows at or after resume_step so the resumed run re-emits them."""
+    """Drop rows at or after resume_step so the resumed run re-emits them.
+
+    An unterminated last line that does not parse is a write torn by a
+    kill and is dropped too; any other malformed line raises.
+    """
     if not os.path.exists(path):
         return
     with open(path, encoding="utf-8") as f:
-        rows = [line for line in f if line.strip() and json.loads(line)["step"] < resume_step]
+        lines = f.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        try:
+            json.loads(lines[-1])
+        except json.JSONDecodeError:
+            lines.pop()
+        else:
+            lines[-1] += "\n"
+    rows = [line for line in lines if line.strip() and json.loads(line)["step"] < resume_step]
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(rows)
 
@@ -241,14 +253,7 @@ def cmd_train(args) -> int:
 
 
 def _latest_checkpoint_step(run_dir) -> int | None:
-    ckpt_dir = os.path.join(run_dir, "checkpoints")
-    if not os.path.isdir(ckpt_dir):
-        return None
-    steps = sorted(
-        int(name[len("step_"):-len(".ckpt")])
-        for name in os.listdir(ckpt_dir)
-        if name.startswith("step_") and name.endswith(".ckpt")
-    )
+    steps = _all_checkpoint_steps(run_dir)
     return steps[-1] if steps else None
 
 
@@ -368,16 +373,17 @@ def cmd_mask_debug(args) -> int:
     weights = None
     if args.strategy == "ptw":
         weights = np.full(len(UPOS_TAGS), 0.5)
+    rows = [int(r) for r in args.rows.split(",")]
+    plan = build_batch(tokens[rows], pos_ids[rows], special[rows], args.ratio, policy, vocab,
+                       np.random.default_rng(args.seed), weights_by_category=weights)
     plans = []
-    for row in (int(r) for r in args.rows.split(",")):
-        seq = sequence_view(tokens, pos_ids, special, row)
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, 2, 0, row]))
-        plan = build_plan(seq, args.ratio, policy, vocab, rng, weights_by_category=weights)
+    for j, row in enumerate(rows):
+        mine = plan.rows == j
         plans.append({
             "sequence": row,
-            "masked_indices": plan.indices.tolist(),
-            "actions": [ACTION_NAMES[a] for a in plan.actions],
-            "labels": plan.labels.tolist(),
+            "masked_indices": plan.cols[mine].tolist(),
+            "actions": [ACTION_NAMES[a] for a in plan.actions[mine]],
+            "labels": plan.labels[mine].tolist(),
         })
     json.dump(plans, sys.stdout, indent=2)
     print()

@@ -7,9 +7,14 @@ regenerated from (inputs, config, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
+from tvmask.postags import N_CATEGORIES
 from tvmask.schedule import ScheduleKind, default_floor
+from tvmask.tracker import sigmoid
 
 
 class ConfigError(ValueError):
@@ -67,6 +72,15 @@ class RunConfig:
             raise ConfigError("mask.corrupt_split needs three comma-separated fractions")
         if self.train_T < 0 or self.train_batch_size < 1:
             raise ConfigError("train.T must be >= 0 and train.batch_size >= 1")
+        if not 0.0 < self.ptw_beta < 1.0:
+            raise ConfigError(f"ptw.beta must be in (0, 1), got {self.ptw_beta}")
+        if not self.ptw_mu > 0.0:
+            raise ConfigError(f"ptw.mu must be > 0, got {self.ptw_mu}")
+        # population z-scores of the categories satisfy |z| <= sqrt(N - 1); the
+        # lowest possible weight must not underflow to 0, or its positions
+        # become unmaskable mid-run
+        if sigmoid(np.array([-math.sqrt(N_CATEGORIES - 1) / self.ptw_mu]))[0] == 0.0:
+            raise ConfigError(f"ptw.mu = {self.ptw_mu} underflows the lowest masking weight to 0")
 
 
 _KEY_TO_FIELD = {

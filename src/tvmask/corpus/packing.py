@@ -107,10 +107,6 @@ def pack_to_arrays(
     return np.stack(tokens), np.stack(pos), np.stack(special)
 
 
-def sequence_view(tokens: np.ndarray, pos: np.ndarray, special: np.ndarray, row: int) -> TaggedSequence:
-    return TaggedSequence(tokens[row], pos[row], special[row])
-
-
 def save_packed(out_dir, tokens: np.ndarray, pos: np.ndarray, special: np.ndarray, meta: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     np.save(os.path.join(out_dir, "tokens.npy"), tokens)

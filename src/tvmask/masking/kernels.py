@@ -1,113 +1,42 @@
-"""Sequential proportional sampling without replacement.
+"""Weighted sampling without replacement, batched over rows.
 
-The hot loop of batch masking: draw ``count`` distinct positions, each
-draw picking position i with probability proportional to weights[i]
-among the positions not yet taken. Zero-weight positions (special
-tokens, already-drawn slots) are never selected.
+Each row b draws ``counts[b]`` distinct positions with the law of
+successive proportional draws: every draw picks position i with
+probability proportional to weights[b, i] among the positions not yet
+taken. Zero-weight positions (special tokens) are never selected.
 
-Two interchangeable backends: a numba @njit kernel and a pure-numpy
-twin. Both consume the same pre-drawn uniforms and perform the same
-float64 arithmetic in the same order, so their outputs are bit-identical
-and a run is reproducible regardless of backend. Set TVMASK_NUMBA=0 to
-force the numpy path; the numpy path is also the automatic fallback when
-numba is not importable.
+Gumbel-top-k (Efraimidis & Spirakis 2006; Kool et al. 2019): perturb
+each log-weight with an independent standard Gumbel variable and keep
+the ``count`` largest keys per row; the selected set has exactly the
+law of the sequential process. Keys are formed in log space so that
+even a subnormal weight gets a finite key and beats every zero-weight
+position, whose key is -inf.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
+def sample_weighted(weights: np.ndarray, counts: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Boolean [B, L] selection with counts[b] positions chosen in row b.
 
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("TVMASK_NUMBA", "1").lower() not in ("0", "false", "off")
-
-
-#: resolved once at import; tests and benchmarks override per call instead
-NUMBA_ENABLED = HAS_NUMBA and _env_enabled()
-
-
-def _sample_numpy(weights: np.ndarray, count: int, uniforms: np.ndarray) -> np.ndarray:
-    """Numpy twin: per draw, recompute the prefix sum and bisect into it."""
-    n = weights.shape[0]
-    w = weights.astype(np.float64, copy=True)
-    out = np.empty(count, dtype=np.int64)
-    for d in range(count):
-        cum = np.cumsum(w)
-        total = cum[-1]
-        target = uniforms[d] * total
-        j = int(np.searchsorted(cum, target, side="right"))
-        if j >= n:
-            # fp edge: target rounded up to >= total; take the last live slot
-            j = n - 1
-            while w[j] == 0.0:
-                j -= 1
-        out[d] = j
-        w[j] = 0.0
-    return out
-
-
-@njit(cache=True)
-def _sample_numba(weights, count, uniforms):  # pragma: no cover - compiled
-    n = weights.shape[0]
-    w = weights.copy()
-    out = np.empty(count, dtype=np.int64)
-    for d in range(count):
-        total = 0.0
-        for i in range(n):
-            total += w[i]
-        target = uniforms[d] * total
-        j = -1
-        acc = 0.0
-        for i in range(n):
-            acc += w[i]
-            if acc > target:
-                j = i
-                break
-        if j < 0:
-            j = n - 1
-            while w[j] == 0.0:
-                j -= 1
-        out[d] = j
-        w[j] = 0.0
-    return out
-
-
-def sample_proportional(
-    weights: np.ndarray,
-    count: int,
-    uniforms: np.ndarray,
-    use_numba: bool | None = None,
-) -> np.ndarray:
-    """Draw ``count`` distinct indices, proportional to ``weights`` without replacement.
-
-    weights: float64, one entry per position, 0 marks an ineligible position.
-    uniforms: ``count`` values in [0, 1) driving the draws.
-    use_numba: override backend selection (None -> module default).
+    weights: non-negative [B, L], 0 marks an ineligible position.
+    counts: [B] draws per row, each at most the row's eligible positions.
     """
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    w = np.ascontiguousarray(weights, dtype=np.float64)
-    u = np.ascontiguousarray(uniforms, dtype=np.float64)
-    if count > int(np.count_nonzero(w)):
-        raise ValueError(f"cannot draw {count} from {int(np.count_nonzero(w))} eligible positions")
-    if u.shape[0] < count:
-        raise ValueError("not enough uniforms for the requested draws")
-    enabled = NUMBA_ENABLED if use_numba is None else (use_numba and HAS_NUMBA)
-    if enabled:
-        return _sample_numba(w, count, u)
-    return _sample_numpy(w, count, u)
+    w = np.asarray(weights, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if w.ndim != 2 or counts.shape != (w.shape[0],):
+        raise ValueError(f"weights must be [B, L] and counts [B], got {w.shape} and {counts.shape}")
+    eligible = np.count_nonzero(w, axis=1)
+    if np.any(counts < 0) or np.any(counts > eligible):
+        bad = int(np.argmax((counts < 0) | (counts > eligible)))
+        raise ValueError(f"cannot draw {counts[bad]} from {eligible[bad]} eligible positions")
+    with np.errstate(divide="ignore"):
+        keys = np.log(w)
+    keys += rng.gumbel(size=w.shape)
+    order = np.argsort(-keys, axis=1, kind="stable")
+    selected = np.zeros(w.shape, dtype=bool)
+    np.put_along_axis(selected, order, np.arange(w.shape[1]) < counts[:, None], axis=1)
+    return selected

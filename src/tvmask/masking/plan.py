@@ -1,9 +1,13 @@
-"""Mask-plan construction for one tagged sequence.
+"""Mask-plan construction for a batch of tagged sequences.
 
 A plan records which positions are prediction targets and how each one
 is corrupted on the input side: replaced by the mask token, replaced by
 a random non-reserved token, or kept as-is (all three still contribute
 to the loss). Special positions ([CLS]/[SEP]/[PAD]) are never selected.
+
+``build_batch`` is the one implementation; ``select_random``,
+``select_ptw``, ``corrupt`` and ``build_plan`` are its single-sequence
+views.
 """
 
 from __future__ import annotations
@@ -46,8 +50,20 @@ class MaskPolicy:
 
 
 @dataclass
+class BatchPlan:
+    """Plans for a [B, L] batch; masked positions are listed row-major,
+    columns ascending within a row."""
+
+    rows: np.ndarray           # int64 row of each masked position
+    cols: np.ndarray           # int64 column of each masked position
+    actions: np.ndarray        # uint8, aligned with rows/cols
+    corrupted_ids: np.ndarray  # [B, L] ids after corruption
+    labels: np.ndarray         # original ids at the masked positions
+
+
+@dataclass
 class MaskPlan:
-    """Masked index set, per-index corruption action, corrupted token ids."""
+    """One sequence's masked index set, actions, corrupted ids and labels."""
 
     indices: np.ndarray        # sorted positions, int64
     actions: np.ndarray        # uint8, aligned with indices
@@ -55,77 +71,102 @@ class MaskPlan:
     labels: np.ndarray         # original ids at the masked positions
 
 
-def target_count(ratio: float, n_maskable: int) -> int:
+def target_count(ratio: float, n_maskable):
     """Number of positions to mask: round(ratio * n_maskable), at least 1
-    while the ratio is nonzero so floor-ratio batches still train."""
+    while the ratio is nonzero so floor-ratio batches still train.
+    Elementwise when ``n_maskable`` is an array."""
     if ratio < 0.0 or ratio >= 1.0:
         raise ValueError(f"ratio must be in [0, 1), got {ratio}")
-    if ratio == 0.0 or n_maskable == 0:
-        return 0
-    count = int(ratio * n_maskable + 0.5)
-    return max(count, 1)
+    n = np.asarray(n_maskable, dtype=np.int64)
+    count = (ratio * n + 0.5).astype(np.int64)
+    if ratio > 0.0:
+        count = np.maximum(count, np.minimum(n, 1))
+    return count
 
 
-def select_random(seq, count: int, rng: np.random.Generator, use_numba=None) -> np.ndarray:
+def _position_weights(pos_ids, special, weights_by_category=None) -> np.ndarray:
+    """Sampling weight of every position: 0 at special positions, else 1
+    (uniform) or the weight of the position's POS category."""
+    if weights_by_category is None:
+        return (~special).astype(np.float64)
+    w = np.asarray(weights_by_category, dtype=np.float64)
+    if np.any(w[pos_ids[~special]] <= 0.0):
+        raise ValueError("category weights at eligible positions must be > 0")
+    return np.where(special, 0.0, w[pos_ids])
+
+
+def build_batch(token_ids, pos_ids, special, ratio: float, policy: MaskPolicy, vocab,
+                rng: np.random.Generator, weights_by_category=None) -> BatchPlan:
+    """Select target_count positions per row by the policy's strategy, then corrupt.
+
+    token_ids, pos_ids, special: [B, L]; all rows draw from the one ``rng``.
+    """
+    if policy.strategy == "ptw" and weights_by_category is None:
+        raise ValueError("ptw strategy needs a category weight vector")
+    weights = _position_weights(pos_ids, special,
+                                weights_by_category if policy.strategy == "ptw" else None)
+    counts = target_count(ratio, np.count_nonzero(~special, axis=1))
+    selected = kernels.sample_weighted(weights, counts, rng)
+    return _corrupt(token_ids, special, selected, policy, vocab, rng)
+
+
+def _corrupt(token_ids, special, selected, policy: MaskPolicy, vocab, rng) -> BatchPlan:
+    """Assign a corruption action to each selected position and apply it;
+    random replacements draw uniformly from the non-reserved ids."""
+    if np.any(special & selected):
+        raise ValueError("special positions cannot be masked")
+    rows, cols = np.nonzero(selected)
+    u = rng.random(rows.size)
+    random_ids = rng.integers(vocab.n_reserved, vocab.size, size=rows.size, dtype=np.int64)
+    actions = np.full(rows.size, ACTION_KEEP, dtype=np.uint8)
+    actions[u < policy.mask_frac + policy.random_frac] = ACTION_RANDOM
+    actions[u < policy.mask_frac] = ACTION_MASK
+    original = np.asarray(token_ids, dtype=np.int64)
+    corrupted = original.copy()
+    is_mask, is_random = actions == ACTION_MASK, actions == ACTION_RANDOM
+    corrupted[rows[is_mask], cols[is_mask]] = vocab.mask_id
+    corrupted[rows[is_random], cols[is_random]] = random_ids[is_random]
+    return BatchPlan(rows=rows, cols=cols, actions=actions, corrupted_ids=corrupted,
+                     labels=original[rows, cols])
+
+
+def _select_one(seq, count: int, rng, weights_by_category=None) -> np.ndarray:
+    weights = _position_weights(seq.pos_ids[None], seq.special_mask[None], weights_by_category)
+    return np.flatnonzero(kernels.sample_weighted(weights, [count], rng)[0])
+
+
+def select_random(seq, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample without replacement over non-special positions."""
-    weights = (~seq.special_mask).astype(np.float64)
-    return _select(weights, count, rng, use_numba)
+    return _select_one(seq, count, rng)
 
 
 def select_ptw(seq, count: int, weights_by_category: np.ndarray,
-               rng: np.random.Generator, use_numba=None) -> np.ndarray:
+               rng: np.random.Generator) -> np.ndarray:
     """Weighted sample without replacement: position i is drawn with
     probability proportional to the weight of its POS category among the
     positions still available (successive proportional draws)."""
-    w = np.asarray(weights_by_category, dtype=np.float64)
-    if np.any(w[seq.pos_ids[~seq.special_mask]] <= 0.0):
-        raise ValueError("category weights at eligible positions must be > 0")
-    weights = np.where(seq.special_mask, 0.0, w[seq.pos_ids])
-    return _select(weights, count, rng, use_numba)
-
-
-def _select(weights: np.ndarray, count: int, rng, use_numba) -> np.ndarray:
-    n_eligible = int(np.count_nonzero(weights))
-    if count > n_eligible:
-        raise ValueError(f"cannot mask {count} of {n_eligible} maskable positions")
-    uniforms = rng.random(count)
-    picked = kernels.sample_proportional(weights, count, uniforms, use_numba=use_numba)
-    picked.sort()
-    return picked
+    return _select_one(seq, count, rng, weights_by_category)
 
 
 def corrupt(seq, indices: np.ndarray, policy: MaskPolicy, vocab,
             rng: np.random.Generator) -> MaskPlan:
-    """Assign a corruption action to each selected index and apply it.
+    """Corrupt one sequence at the given distinct positions.
 
-    ``vocab`` supplies mask_id, n_reserved and size; random replacements
-    draw uniformly from the non-reserved ids.
+    ``vocab`` supplies mask_id, n_reserved and size.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and np.any(seq.special_mask[indices]):
-        raise ValueError("special positions cannot be masked")
-    u = rng.random(indices.size)
-    random_ids = rng.integers(vocab.n_reserved, vocab.size, size=indices.size, dtype=np.int64)
-    actions = np.full(indices.size, ACTION_KEEP, dtype=np.uint8)
-    actions[u < policy.mask_frac + policy.random_frac] = ACTION_RANDOM
-    actions[u < policy.mask_frac] = ACTION_MASK
-    corrupted = np.array(seq.token_ids, dtype=np.int64, copy=True)
-    corrupted[indices[actions == ACTION_MASK]] = vocab.mask_id
-    corrupted[indices[actions == ACTION_RANDOM]] = random_ids[actions == ACTION_RANDOM]
-    labels = np.asarray(seq.token_ids, dtype=np.int64)[indices]
-    return MaskPlan(indices=indices, actions=actions, corrupted_ids=corrupted, labels=labels)
+    selected = np.zeros((1, len(seq.token_ids)), dtype=bool)
+    selected[0, np.asarray(indices, dtype=np.int64)] = True
+    return _one_row(_corrupt(seq.token_ids[None], seq.special_mask[None], selected,
+                             policy, vocab, rng))
 
 
 def build_plan(seq, ratio: float, policy: MaskPolicy, vocab,
-               rng: np.random.Generator, weights_by_category=None,
-               use_numba=None) -> MaskPlan:
-    """Select positions per the policy's strategy at the given ratio, then corrupt."""
-    n_maskable = int(np.count_nonzero(~seq.special_mask))
-    count = target_count(ratio, n_maskable)
-    if policy.strategy == "ptw":
-        if weights_by_category is None:
-            raise ValueError("ptw strategy needs a category weight vector")
-        indices = select_ptw(seq, count, weights_by_category, rng, use_numba)
-    else:
-        indices = select_random(seq, count, rng, use_numba)
-    return corrupt(seq, indices, policy, vocab, rng)
+               rng: np.random.Generator, weights_by_category=None) -> MaskPlan:
+    """One sequence's plan: ``build_batch`` on a single row."""
+    return _one_row(build_batch(seq.token_ids[None], seq.pos_ids[None], seq.special_mask[None],
+                                ratio, policy, vocab, rng, weights_by_category))
+
+
+def _one_row(plan: BatchPlan) -> MaskPlan:
+    return MaskPlan(indices=plan.cols, actions=plan.actions,
+                    corrupted_ids=plan.corrupted_ids[0], labels=plan.labels)

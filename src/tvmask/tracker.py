@@ -14,7 +14,6 @@ masked more often.
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +30,7 @@ class TrackerSnapshot(NamedTuple):
 
 
 class CategoryLossTracker:
-    """Single-writer EMA tracker; snapshot() is safe from a metrics thread."""
+    """EMA tracker of per-category losses."""
 
     def __init__(self, n_categories: int = N_CATEGORIES, beta: float = 0.99, mu: float = 1.0):
         if not 0.0 < beta < 1.0:
@@ -43,7 +42,6 @@ class CategoryLossTracker:
         self.mu = mu
         self.cum_loss = np.zeros(n_categories, dtype=np.float64)
         self.step = 0
-        self._lock = threading.Lock()
 
     def update(self, batch_losses: np.ndarray) -> None:
         """Fold one batch's per-category losses into the EMA.
@@ -57,34 +55,28 @@ class CategoryLossTracker:
         present = ~np.isnan(losses)
         if np.any(losses[present] < 0.0):
             raise ValueError("per-category losses must be >= 0")
-        with self._lock:
-            self.cum_loss[present] = (
-                self.beta * self.cum_loss[present] + (1.0 - self.beta) * losses[present]
-            )
-            self.step += 1
+        self.cum_loss[present] = (
+            self.beta * self.cum_loss[present] + (1.0 - self.beta) * losses[present]
+        )
+        self.step += 1
 
     def weights(self) -> np.ndarray:
         """Masking-weight vector in (0, 1); uniform 0.5 when losses carry no spread."""
-        with self._lock:
-            cum = self.cum_loss.copy()
-        return weights_from_losses(cum, self.mu)
+        return weights_from_losses(self.cum_loss, self.mu)
 
     def snapshot(self) -> TrackerSnapshot:
         """Consistent (step, losses, weights) copy; does not mutate state."""
-        with self._lock:
-            step = self.step
-            cum = self.cum_loss.copy()
-        return TrackerSnapshot(step, cum, weights_from_losses(cum, self.mu))
+        cum = self.cum_loss.copy()
+        return TrackerSnapshot(self.step, cum, weights_from_losses(cum, self.mu))
 
     def state_dict(self) -> dict:
-        with self._lock:
-            return {
-                "n_categories": self.n_categories,
-                "beta": self.beta,
-                "mu": self.mu,
-                "cum_loss": self.cum_loss.copy(),
-                "step": self.step,
-            }
+        return {
+            "n_categories": self.n_categories,
+            "beta": self.beta,
+            "mu": self.mu,
+            "cum_loss": self.cum_loss.copy(),
+            "step": self.step,
+        }
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "CategoryLossTracker":

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tvmask.corpus.packing import sequence_view
-from tvmask.masking import MaskPolicy, build_plan
+from tvmask.masking import MaskPolicy, build_batch
 from tvmask.model.net import (
     ModelConfig,
     backward_masked,
@@ -134,10 +133,11 @@ def _snapshot_rows(tracker: CategoryLossTracker, step: int) -> list[dict]:
 
 
 def make_batch(tokens, pos_ids, special, vocab, ratio, policy, weights, seed, step, batch_size):
-    """Pick rows and build one mask plan per row, all from derived seeds.
+    """Pick rows and build their mask plans, all from seeds derived from (seed, step).
 
-    Per-slot seeds make plan construction order-independent: building
-    plans serially or in parallel yields identical batches.
+    Returns (rows, corrupted, mrows, mcols, labels, mpos): the chosen corpus
+    rows, the corrupted [batch_size, L] input, and per masked position its
+    batch row, column, original id and POS category.
     """
     n_seq = tokens.shape[0]
     batch_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_BATCH, step]))
@@ -145,19 +145,11 @@ def make_batch(tokens, pos_ids, special, vocab, ratio, policy, weights, seed, st
         rows = batch_rng.choice(n_seq, size=batch_size, replace=False)
     else:
         rows = batch_rng.integers(0, n_seq, size=batch_size)
-    corrupted = np.empty((batch_size, tokens.shape[1]), dtype=np.int64)
-    mrows, mcols, labels, mpos = [], [], [], []
-    for j, row in enumerate(rows):
-        seq = sequence_view(tokens, pos_ids, special, int(row))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_MASK, step, j]))
-        plan = build_plan(seq, ratio, policy, vocab, rng, weights_by_category=weights)
-        corrupted[j] = plan.corrupted_ids
-        mrows.extend([j] * plan.indices.size)
-        mcols.extend(plan.indices.tolist())
-        labels.extend(plan.labels.tolist())
-        mpos.extend(seq.pos_ids[plan.indices].tolist())
-    return (rows, corrupted, np.asarray(mrows), np.asarray(mcols),
-            np.asarray(labels), np.asarray(mpos))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_MASK, step]))
+    plan = build_batch(tokens[rows], pos_ids[rows], special[rows], ratio, policy, vocab, rng,
+                       weights_by_category=weights)
+    mpos = pos_ids[rows[plan.rows], plan.cols].astype(np.int64)
+    return rows, plan.corrupted_ids, plan.rows, plan.cols, plan.labels, mpos
 
 
 def train(model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
@@ -256,40 +248,29 @@ def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
              policy: MaskPolicy | None = None) -> dict:
     """Deterministic masked evaluation on a held-out packed corpus.
 
-    Masks every sequence at the given fixed ratio with seeds derived from
-    (seed, row), so repeated calls give identical numbers. Reports mean
+    Masks every sequence at the given fixed ratio in one plan drawn from
+    a stream derived from ``seed``, so repeated calls give identical
+    numbers whatever the ``batch_size`` of the forward passes. Reports mean
     token loss per category plus the function / non-function / other
     group means (means over each group's present categories).
     """
     if policy is None:
         policy = MaskPolicy(strategy="random")
-    pad_id = vocab.pad_id
-    n = tokens.shape[0]
-    sums = np.zeros(len(UPOS_TAGS))
-    counts = np.zeros(len(UPOS_TAGS), dtype=np.int64)
-    total_nll = 0.0
-    total_tokens = 0
-    for start in range(0, n, batch_size):
-        rows = range(start, min(start + batch_size, n))
-        corrupted = np.empty((len(rows), tokens.shape[1]), dtype=np.int64)
-        mrows, mcols, labels, mpos = [], [], [], []
-        for j, row in enumerate(rows):
-            seq = sequence_view(tokens, pos_ids, special, row)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_EVAL, row]))
-            plan = build_plan(seq, ratio, policy, vocab, rng)
-            corrupted[j] = plan.corrupted_ids
-            mrows.extend([j] * plan.indices.size)
-            mcols.extend(plan.indices.tolist())
-            labels.extend(plan.labels.tolist())
-            mpos.extend(seq.pos_ids[plan.indices].tolist())
-        pad_mask = tokens[list(rows)] == pad_id
-        logits, _ = forward_masked(params, model_cfg, corrupted, pad_mask,
-                                   np.asarray(mrows), np.asarray(mcols))
-        nll = nll_from_logits(logits, np.asarray(labels))
-        np.add.at(sums, np.asarray(mpos), nll)
-        np.add.at(counts, np.asarray(mpos), 1)
-        total_nll += float(nll.sum())
-        total_tokens += nll.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_EVAL]))
+    plan = build_batch(tokens, pos_ids, special, ratio, policy, vocab, rng)
+    pad_mask = tokens == vocab.pad_id
+    nll = []
+    for start in range(0, tokens.shape[0], batch_size):
+        end = start + batch_size
+        lo, hi = np.searchsorted(plan.rows, [start, end])
+        logits, _ = forward_masked(params, model_cfg, plan.corrupted_ids[start:end],
+                                   pad_mask[start:end], plan.rows[lo:hi] - start,
+                                   plan.cols[lo:hi])
+        nll.append(nll_from_logits(logits, plan.labels[lo:hi]))
+    nll = np.concatenate(nll)
+    mpos = pos_ids[plan.rows, plan.cols]
+    sums = np.bincount(mpos, weights=nll, minlength=len(UPOS_TAGS))
+    counts = np.bincount(mpos, minlength=len(UPOS_TAGS))
 
     per_category = {
         UPOS_TAGS[k]: (sums[k] / counts[k] if counts[k] else None)
@@ -300,8 +281,8 @@ def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
         vals = [sums[k] / counts[k] for k in ids if counts[k]]
         groups[gname] = float(np.mean(vals)) if vals else None
     return {
-        "overall": total_nll / total_tokens,
-        "n_masked": total_tokens,
+        "overall": float(nll.sum()) / nll.size,
+        "n_masked": int(nll.size),
         "per_category": per_category,
         "groups": groups,
     }

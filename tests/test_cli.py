@@ -162,6 +162,33 @@ def test_train_determinism_and_resume(workdir, tmp_path):
     assert steps == list(range(24))  # no gap, no duplicates
 
 
+def test_train_resume_after_torn_metrics_line(workdir, tmp_path):
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    r1, r2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["train", cfg, "--out", str(r1)]) == 0
+    assert main(["train", cfg, "--out", str(r2)]) == 0
+
+    # a kill mid-write: the final checkpoint is missing and the metrics
+    # file ends in half a row with no newline
+    os.remove(r2 / "checkpoints" / "step_00000024.ckpt")
+    lines = (r2 / "metrics.jsonl").read_text().splitlines(keepends=True)
+    torn = lines[20].rstrip("\n")
+    (r2 / "metrics.jsonl").write_text("".join(lines[:20]) + torn[: len(torn) // 2])
+    assert main(["train", cfg, "--out", str(r2), "--resume"]) == 0
+    for name in ("metrics.jsonl", "snapshots.jsonl"):
+        assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
+
+
+def test_train_bad_ptw_values_rejected_before_run_dir(workdir, tmp_path):
+    for i, kv in enumerate([{"ptw.beta": 1.5}, {"ptw.beta": 0.0}, {"ptw.mu": 0.0},
+                            {"ptw.mu": -1.0}, {"ptw.mu": 0.001}]):
+        cfg = write_cfg(tmp_path / f"bad{i}.cfg",
+                        micro_config(workdir, **{"mask.strategy": "ptw", **kv}))
+        out = tmp_path / f"run{i}"
+        assert main(["train", cfg, "--out", str(out)]) == 1, kv
+        assert not out.exists(), kv
+
+
 def test_train_resume_without_checkpoint_errors(workdir, tmp_path, capsys):
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir, **{"train.checkpoint_every": 0}))
     out = tmp_path / "run"

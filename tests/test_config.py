@@ -68,6 +68,11 @@ def test_validate_rejects_bad_values():
         "mask.strategy = everything\n",
         "ptw.loss_mode = per-word\n",
         "mask.corrupt_split = 0.9,0.1\n",
+        "ptw.beta = 1.5\n",
+        "ptw.beta = 0\n",
+        "ptw.mu = 0\n",
+        "ptw.mu = -1\n",
+        "ptw.mu = 0.001\n",  # the lowest weight sigmoid(-4 / mu) underflows to 0
     ):
         cfg = from_text(text)
         with pytest.raises(ConfigError):

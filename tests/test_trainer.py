@@ -177,3 +177,12 @@ def test_eval_respects_ratio_and_seed(micro_data):
     b = eval_mlm(state.params, cfg, tokens[:20], pos[:20], special[:20], vocab, seed=2)
     assert a["n_masked"] == b["n_masked"]  # same ratio, same sequences
     assert a != b  # different masks
+
+
+def test_eval_independent_of_batch_size(micro_data):
+    tokens, pos, special, vocab = micro_data
+    cfg = micro_cfg(vocab)
+    state = fresh_state(cfg, TrainSettings(T=0, seed=3))
+    reports = [eval_mlm(state.params, cfg, tokens[:40], pos[:40], special[:40], vocab,
+                        seed=4, batch_size=bs) for bs in (1, 7, 32)]
+    assert reports[0] == reports[1] == reports[2]
