@@ -7,13 +7,12 @@ the loss -> weight -> mask feedback loop.
 
 __version__ = "0.1.0"
 
-from tvmask.postags import UPOS_TAGS, PosCategory, pos_id
+from tvmask.postags import UPOS_TAGS, pos_id
 from tvmask.schedule import ScheduleKind, ScheduleSpec, expected_mass, ratio_at
 from tvmask.tracker import CategoryLossTracker
 
 __all__ = [
     "UPOS_TAGS",
-    "PosCategory",
     "pos_id",
     "ScheduleKind",
     "ScheduleSpec",

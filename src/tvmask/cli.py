@@ -93,16 +93,22 @@ def cmd_prepare(args) -> int:
 # ---------------------------------------------------------------- train
 
 class JsonlSink:
-    """Appends metrics/snapshot rows to the run directory as JSONL."""
+    """Writes metrics/snapshot rows to the run directory as JSONL.
+
+    A fresh run starts both files empty; a resumed run keeps the rows
+    before resume_step and appends after them.
+    """
 
     def __init__(self, run_dir, resume_step=None, flush_every=200):
         self._metrics_path = os.path.join(run_dir, "metrics.jsonl")
         self._snapshots_path = os.path.join(run_dir, "snapshots.jsonl")
+        mode = "w"
         if resume_step is not None:
             _truncate_jsonl(self._metrics_path, resume_step)
             _truncate_jsonl(self._snapshots_path, resume_step)
-        self._metrics = open(self._metrics_path, "a", encoding="utf-8")
-        self._snapshots = open(self._snapshots_path, "a", encoding="utf-8")
+            mode = "a"
+        self._metrics = open(self._metrics_path, mode, encoding="utf-8")
+        self._snapshots = open(self._snapshots_path, mode, encoding="utf-8")
         self._flush_every = flush_every
         self._pending = 0
 
@@ -127,14 +133,12 @@ class JsonlSink:
         self._snapshots.close()
 
 
-def _truncate_jsonl(path, resume_step: int) -> None:
-    """Drop rows at or after resume_step so the resumed run re-emits them.
+def _read_jsonl(path) -> list[dict]:
+    """Rows of a JSONL file.
 
     An unterminated last line that does not parse is a write torn by a
-    kill and is dropped too; any other malformed line raises.
+    kill and is dropped; any other malformed line raises.
     """
-    if not os.path.exists(path):
-        return
     with open(path, encoding="utf-8") as f:
         lines = f.readlines()
     if lines and not lines[-1].endswith("\n"):
@@ -142,11 +146,21 @@ def _truncate_jsonl(path, resume_step: int) -> None:
             json.loads(lines[-1])
         except json.JSONDecodeError:
             lines.pop()
-        else:
-            lines[-1] += "\n"
-    rows = [line for line in lines if line.strip() and json.loads(line)["step"] < resume_step]
+    return [json.loads(line) for line in lines if line.strip()]
+
+
+def _truncate_jsonl(path, resume_step: int) -> None:
+    """Drop rows at or after resume_step so the resumed run re-emits them."""
+    if not os.path.exists(path):
+        return
+    rows = [row for row in _read_jsonl(path) if row["step"] < resume_step]
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(rows)
+        f.writelines(json.dumps(row) + "\n" for row in rows)
+
+
+def _schedule_spec(cfg: RunConfig) -> ScheduleSpec:
+    return ScheduleSpec(ScheduleKind(cfg.schedule_kind), p=cfg.schedule_p,
+                        T=cfg.schedule_T, floor=cfg.schedule_floor)
 
 
 def _build_run_pieces(cfg: RunConfig):
@@ -163,8 +177,7 @@ def _build_run_pieces(cfg: RunConfig):
         ff_dim=cfg.model_ff_dim, vocab_size=vocab.size, L_seq=int(meta["L_seq"]),
         tied=cfg.model_tied,
     )
-    spec = ScheduleSpec(ScheduleKind(cfg.schedule_kind), p=cfg.schedule_p,
-                        T=cfg.schedule_T, floor=cfg.schedule_floor)
+    spec = _schedule_spec(cfg)
     split = cfg.mask_corrupt_split
     policy = MaskPolicy(strategy=cfg.mask_strategy, mask_frac=split[0],
                         random_frac=split[1], keep_frac=split[2])
@@ -225,19 +238,22 @@ def cmd_train(args) -> int:
     try:
         pieces = _build_run_pieces(cfg)
         tokens, pos_ids, special, vocab, meta, model_cfg, spec, policy, settings = pieces
-        cfgmod.save(cfg, os.path.join(run_dir, "config.txt"))
+        ckpt_dir = os.path.join(run_dir, "checkpoints")
         state = None
         if resume_step is not None:
             state, ckpt_cfg, extra = load_checkpoint(
-                trainer_mod.checkpoint_path(os.path.join(run_dir, "checkpoints"), resume_step))
+                trainer_mod.checkpoint_path(ckpt_dir, resume_step))
             if extra.get("vocab_hash") != meta["vocab_hash"]:
                 raise CliError("checkpoint was trained with a different vocabulary")
             if ckpt_cfg != model_cfg:
                 raise CliError("checkpoint model config does not match run config")
+        elif args.force:  # no checkpoint of the replaced run may survive into this one
+            for step in _all_checkpoint_steps(run_dir):
+                os.remove(trainer_mod.checkpoint_path(ckpt_dir, step))
+        cfgmod.save(cfg, os.path.join(run_dir, "config.txt"))
         sink = JsonlSink(run_dir, resume_step=resume_step)
         train(model_cfg, tokens, pos_ids, special, vocab, spec, policy, settings,
-              sink=sink, state=state,
-              checkpoint_dir=os.path.join(run_dir, "checkpoints"),
+              sink=sink, state=state, checkpoint_dir=ckpt_dir,
               checkpoint_extra={"vocab_hash": meta["vocab_hash"]})
     except TrainAbort as err:
         print(f"aborted: {err}", file=sys.stderr)
@@ -260,10 +276,8 @@ def _latest_checkpoint_step(run_dir) -> int | None:
 # ---------------------------------------------------------------- export
 
 def cmd_export_schedule(args) -> int:
-    spec = ScheduleSpec(ScheduleKind(args.kind), p=args.p, T=args.steps,
-                        floor=args.floor)
-    _write_csv(args.out, ["step", "ratio"],
-               ((t, repr(r)) for t, r in schedule_rows(spec)))
+    _write_schedule_csv(args.out, ScheduleSpec(ScheduleKind(args.kind), p=args.p,
+                                               T=args.steps, floor=args.floor))
     return EXIT_OK
 
 
@@ -273,23 +287,20 @@ def cmd_export(args) -> int:
     if not os.path.exists(cfg_path):
         raise CliError(f"not a run directory (no config.txt): {run_dir}")
     if args.what == "schedule":
-        cfg = cfgmod.load(cfg_path)
-        spec = ScheduleSpec(ScheduleKind(cfg.schedule_kind), p=cfg.schedule_p,
-                            T=cfg.schedule_T, floor=cfg.schedule_floor)
-        _write_csv(args.out, ["step", "ratio"],
-                   ((t, repr(r)) for t, r in schedule_rows(spec)))
+        _write_schedule_csv(args.out, _schedule_spec(cfgmod.load(cfg_path)))
         return EXIT_OK
     snapshots_path = os.path.join(run_dir, "snapshots.jsonl")
     if not os.path.exists(snapshots_path):
         raise CliError(f"run has no snapshots.jsonl: {run_dir}")
     column = "cum_loss" if args.what == "losses" else "weight"
-    def rows():
-        with open(snapshots_path, encoding="utf-8") as f:
-            for line in f:
-                row = json.loads(line)
-                yield row["step"], row["category_name"], repr(row[column])
-    _write_csv(args.out, ["step", "category", column], rows())
+    _write_csv(args.out, ["step", "category", column],
+               ((row["step"], row["category_name"], repr(row[column]))
+                for row in _read_jsonl(snapshots_path)))
     return EXIT_OK
+
+
+def _write_schedule_csv(out_path, spec: ScheduleSpec) -> None:
+    _write_csv(out_path, ["step", "ratio"], ((t, repr(r)) for t, r in schedule_rows(spec)))
 
 
 def _write_csv(out_path, header, rows) -> None:

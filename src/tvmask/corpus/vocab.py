@@ -34,9 +34,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int | None:
-        return self.token_to_id.get(token)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for tok in self.tokens:

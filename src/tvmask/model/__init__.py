@@ -1,4 +1,4 @@
-from tvmask.model.net import ModelConfig, forward_masked, backward_masked, forward_mlm, init_params, mlm_loss, per_category_losses
+from tvmask.model.net import ModelConfig, forward_masked, backward_masked, init_params, per_category_losses
 from tvmask.model.optim import AdamW, clip_global_norm
 from tvmask.model.gradcheck import grad_check
 
@@ -7,8 +7,6 @@ __all__ = [
     "init_params",
     "forward_masked",
     "backward_masked",
-    "forward_mlm",
-    "mlm_loss",
     "per_category_losses",
     "AdamW",
     "clip_global_norm",

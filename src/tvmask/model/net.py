@@ -89,11 +89,6 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def gelu(x):
-    y, _ = gelu_cached(x)
-    return y
-
-
 def gelu_cached(x):
     """GELU (tanh form) plus the tanh itself, cached for the backward pass."""
     x2 = x * x
@@ -269,26 +264,6 @@ def backward_masked(params, cfg: ModelConfig, cache, dlogits):
     return grads
 
 
-def forward_mlm(params, cfg: ModelConfig, token_ids, pad_mask=None):
-    """Log-probabilities over the vocabulary at every position, [B, L, V].
-
-    Rows are exactly normalized (log-sum-exp 0) in float64. Token ids
-    outside [0, vocab_size) are an error.
-    """
-    token_ids = np.asarray(token_ids)
-    if token_ids.min() < 0 or token_ids.max() >= cfg.vocab_size:
-        raise ValueError("token id out of range for the model vocabulary")
-    if pad_mask is None:
-        pad_mask = np.zeros(token_ids.shape, dtype=bool)
-    hidden, _ = encode(params, cfg, token_ids, pad_mask)
-    B, L, H = hidden.shape
-    logits, _ = _head(params, cfg, hidden.reshape(-1, H))
-    logits = logits.astype(np.float64)
-    logits -= logits.max(axis=-1, keepdims=True)
-    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
-    return logits.reshape(B, L, cfg.vocab_size)
-
-
 def nll_from_logits(logits, labels):
     """Per-token negative log-likelihood (float64) from unnormalized logits [M, V].
 
@@ -335,18 +310,3 @@ def per_category_losses(nll, pos_ids, mode="per-token-mean", n_categories=N_CATE
         out[present] = sums[present] / total
     return out
 
-
-def mlm_loss(log_probs, labels, pos_ids, mode="per-token-mean"):
-    """Mean NLL over masked positions plus the per-category decomposition.
-
-    labels is [B, L] with -1 at unmasked positions; pos_ids aligns with it.
-    """
-    labels = np.asarray(labels)
-    masked = labels >= 0
-    if not masked.any():
-        raise ValueError("empty masked index set")
-    rows, cols = np.nonzero(masked)
-    nll = -log_probs[rows, cols, labels[rows, cols]].astype(np.float64)
-    scalar = float(nll.mean())
-    vector = per_category_losses(nll, np.asarray(pos_ids)[rows, cols], mode=mode)
-    return scalar, vector

@@ -18,35 +18,36 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
     return norm
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
+
 class AdamW:
     """Weight decay applies only to matrices; vectors (biases, norm gains) are exempt."""
 
-    def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self, params: dict):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name in sorted(params):
             g = grads[name]
             p = params[name]
             m = self.m[name]
             v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and p.ndim >= 2:
-                update = update + self.weight_decay * p
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            if p.ndim >= 2:
+                update = update + WEIGHT_DECAY * p
             p -= p.dtype.type(lr) * update.astype(p.dtype, copy=False)
 
     def state_dict(self) -> dict:
@@ -54,16 +55,12 @@ class AdamW:
             "t": self.t,
             "m": {k: v.copy() for k, v in self.m.items()},
             "v": {k: v.copy() for k, v in self.v.items()},
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
         }
 
     @classmethod
     def from_state_dict(cls, params: dict, state: dict) -> "AdamW":
-        opt = cls(params, beta1=state["beta1"], beta2=state["beta2"],
-                  eps=state["eps"], weight_decay=state["weight_decay"])
+        """Restore from state_dict(); older checkpoints' hyper-parameter keys are ignored."""
+        opt = cls(params)
         opt.t = int(state["t"])
         for k in opt.m:
             opt.m[k][:] = state["m"][k]

@@ -7,8 +7,6 @@ group is a contiguous id range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 UPOS_TAGS = (
     # non-function (content) words
     "NOUN", "VERB", "ADJ", "ADV", "PROPN", "NUM", "INTJ",
@@ -33,25 +31,6 @@ GROUPS = {
 _TAG_TO_ID = {tag: i for i, tag in enumerate(UPOS_TAGS)}
 
 X_ID = _TAG_TO_ID["X"]
-
-
-@dataclass(frozen=True)
-class PosCategory:
-    """One of the 17 universal POS categories."""
-
-    id: int
-    name: str
-
-    @property
-    def group(self) -> str:
-        if self.id in NON_FUNCTION_IDS:
-            return "non_function"
-        if self.id in FUNCTION_IDS:
-            return "function"
-        return "other"
-
-
-CATEGORIES = tuple(PosCategory(i, tag) for i, tag in enumerate(UPOS_TAGS))
 
 
 def pos_id(tag: str) -> int:

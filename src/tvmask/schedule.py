@@ -1,9 +1,11 @@
-"""Masking-ratio schedules.
+"""Masking-ratio and learning-rate schedules.
 
-All schedules map a training step t in [0, T] to the masking ratio used
-for that step's batches. Decaying kinds start at twice the base ratio p
-and end at (or near) zero, so the mean ratio over a full run stays close
-to p and a decayed run masks about as many tokens as a fixed-p run.
+Both follow one unit-peak ``shape`` over run progress s in [0, 1]. The
+masking ratio at step t in [0, T] scales it by a peak: decaying kinds
+start at twice the base ratio p and end at (or near) zero, so the mean
+ratio over a full run stays close to p and a decayed run masks about as
+many tokens as a fixed-p run. The learning rate warms up linearly, then
+scales the same shape by the base rate.
 """
 
 from __future__ import annotations
@@ -56,40 +58,53 @@ class ScheduleSpec:
             raise ValueError(f"floor must be in [0, 2p), got {self.floor}")
 
 
+def shape(kind: ScheduleKind, s: float) -> float:
+    """Unit-peak schedule shape at run progress s in [0, 1]."""
+    if kind is ScheduleKind.FIXED:
+        return 1.0
+    if kind is ScheduleKind.LINEAR:
+        return 1.0 - s
+    if kind is ScheduleKind.COSINE:
+        return 0.5 * (1.0 + math.cos(math.pi * s))
+    if kind is ScheduleKind.QUAD_CONCAVE:
+        return 1.0 - s * s
+    if kind is ScheduleKind.QUAD_CONVEX:
+        return (1.0 - s) ** 2
+    if kind is ScheduleKind.ASCENDING:
+        return s
+    if kind is ScheduleKind.ASCEND_THEN_DECAY:
+        return 2.0 * s if s <= 0.5 else 2.0 - 2.0 * s
+    raise ValueError(f"unhandled schedule kind {kind}")  # pragma: no cover
+
+
 def ratio_at(spec: ScheduleSpec, t: int) -> float:
     """Masking ratio at step t, clamped to [spec.floor, 1).
 
-    t may equal T (final checkpoint boundary); anything outside [0, T]
-    is an error.
+    The peak is p for the fixed kind and 2p otherwise; cosine adds 0.02
+    on top. t may equal T (final checkpoint boundary); anything outside
+    [0, T] is an error.
     """
     if t < 0 or t > spec.T:
         raise ValueError(f"step {t} outside [0, {spec.T}]")
-    p, T = spec.p, spec.T
-    kind = spec.kind
-    if kind is ScheduleKind.FIXED:
-        raw = p
-    elif kind is ScheduleKind.LINEAR:
-        raw = (1.0 - t / T) * 2.0 * p
-    elif kind is ScheduleKind.COSINE:
-        raw = (1.0 + math.cos(math.pi * t / T)) * p + 0.02
-    elif kind is ScheduleKind.QUAD_CONCAVE:
-        raw = 2.0 * p * (1.0 - (t / T) ** 2)
-    elif kind is ScheduleKind.QUAD_CONVEX:
-        raw = 2.0 * p * (1.0 - t / T) ** 2
-    elif kind is ScheduleKind.ASCENDING:
-        raw = (t / T) * 2.0 * p
-    elif kind is ScheduleKind.ASCEND_THEN_DECAY:
-        if 2 * t <= T:
-            raw = 2.0 * p * (2.0 * t / T)
-        else:
-            raw = 2.0 * p * (2.0 - 2.0 * t / T)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled schedule kind {kind}")
+    peak = spec.p if spec.kind is ScheduleKind.FIXED else 2.0 * spec.p
+    raw = peak * shape(spec.kind, t / spec.T)
+    if spec.kind is ScheduleKind.COSINE:
+        raw += 0.02
     if raw < spec.floor:
         return spec.floor
     if raw >= 1.0:
         return _ONE_EXCLUSIVE
     return raw
+
+
+def lr_at(t: int, base_lr: float, warmup: int, T: int, kind: ScheduleKind) -> float:
+    """Linear warmup, then base_lr times the schedule shape over the remaining steps."""
+    if warmup > 0 and t < warmup:
+        return base_lr * t / warmup
+    if T <= warmup:
+        return base_lr
+    s = (t - warmup) / (T - warmup)
+    return base_lr * shape(kind, min(max(s, 0.0), 1.0))
 
 
 def expected_mass(spec: ScheduleSpec) -> float:

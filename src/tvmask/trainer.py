@@ -27,7 +27,7 @@ from tvmask.model.net import (
 )
 from tvmask.model.optim import AdamW, clip_global_norm
 from tvmask.postags import GROUPS, UPOS_TAGS
-from tvmask.schedule import ScheduleKind, ScheduleSpec, ratio_at
+from tvmask.schedule import ScheduleKind, ScheduleSpec, lr_at, ratio_at
 from tvmask.tracker import CategoryLossTracker
 
 # stream tags keeping the seed lineages of batch choice, masking and eval apart
@@ -36,6 +36,7 @@ _TAG_MASK = 2
 _TAG_EVAL = 3
 
 CHECKPOINT_VERSION = 1
+CLIP_NORM = 1.0  # global gradient-norm cap
 
 
 class TrainAbort(RuntimeError):
@@ -60,35 +61,6 @@ class TrainSettings:
     mu: float = 1.0
     snapshot_every: int = 10
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
-    weight_decay: float = 0.01
-    clip_norm: float = 1.0
-
-
-def lr_at(t: int, base_lr: float, warmup: int, T: int, shape: ScheduleKind) -> float:
-    """Linear warmup, then a decay whose shape mirrors the masking schedule."""
-    if warmup > 0 and t < warmup:
-        return base_lr * t / warmup
-    if T <= warmup:
-        return base_lr
-    s = (t - warmup) / (T - warmup)
-    s = min(max(s, 0.0), 1.0)
-    if shape is ScheduleKind.FIXED:
-        factor = 1.0
-    elif shape is ScheduleKind.LINEAR:
-        factor = 1.0 - s
-    elif shape is ScheduleKind.COSINE:
-        factor = 0.5 * (1.0 + math.cos(math.pi * s))
-    elif shape is ScheduleKind.QUAD_CONCAVE:
-        factor = 1.0 - s * s
-    elif shape is ScheduleKind.QUAD_CONVEX:
-        factor = (1.0 - s) ** 2
-    elif shape is ScheduleKind.ASCENDING:
-        factor = s
-    elif shape is ScheduleKind.ASCEND_THEN_DECAY:
-        factor = 2.0 * s if s <= 0.5 else 2.0 - 2.0 * s
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled shape {shape}")
-    return base_lr * factor
 
 
 @dataclass
@@ -98,7 +70,6 @@ class TrainState:
     tracker: CategoryLossTracker
     step: int = 0
     masked_total: int = 0
-    run_seed: int = 0
 
 
 class ListSink:
@@ -117,10 +88,8 @@ class ListSink:
 
 def fresh_state(model_cfg: ModelConfig, settings: TrainSettings) -> TrainState:
     params = init_params(model_cfg, settings.seed)
-    opt = AdamW(params, weight_decay=settings.weight_decay)
     tracker = CategoryLossTracker(beta=settings.beta, mu=settings.mu)
-    return TrainState(params=params, opt=opt, tracker=tracker, step=0,
-                      masked_total=0, run_seed=settings.seed)
+    return TrainState(params=params, opt=AdamW(params), tracker=tracker)
 
 
 def _snapshot_rows(tracker: CategoryLossTracker, step: int) -> list[dict]:
@@ -186,7 +155,7 @@ def train(model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
             raise TrainAbort(t, last_row)
         state.tracker.update(per_category_losses(nll, mpos, mode=settings.loss_mode))
         grads = backward_masked(state.params, model_cfg, cache, dloss_dlogits(logits, labels))
-        clip_global_norm(grads, settings.clip_norm)
+        clip_global_norm(grads, CLIP_NORM)
         lr = lr_at(t, settings.base_lr, settings.warmup, settings.T, lr_shape)
         state.opt.step(state.params, grads, lr)
         for p in state.params.values():
@@ -217,7 +186,6 @@ def save_checkpoint(path, state: TrainState, model_cfg: ModelConfig, extra=None)
         "model_cfg": model_cfg.__dict__.copy(),
         "step": state.step,
         "masked_total": state.masked_total,
-        "run_seed": state.run_seed,
         "params": {k: v.copy() for k, v in state.params.items()},
         "opt": state.opt.state_dict(),
         "tracker": state.tracker.state_dict(),
@@ -239,7 +207,7 @@ def load_checkpoint(path) -> tuple[TrainState, ModelConfig, dict]:
     opt = AdamW.from_state_dict(params, blob["opt"])
     tracker = CategoryLossTracker.from_state_dict(blob["tracker"])
     state = TrainState(params=params, opt=opt, tracker=tracker, step=int(blob["step"]),
-                       masked_total=int(blob["masked_total"]), run_seed=int(blob["run_seed"]))
+                       masked_total=int(blob["masked_total"]))
     return state, model_cfg, blob["extra"]
 
 

@@ -8,6 +8,7 @@ import pytest
 from tvmask.cli import main
 from tvmask.corpus.synth import write_corpus
 from tvmask.postags import UPOS_TAGS
+from tvmask.trainer import load_checkpoint
 
 HAND_CORPUS = """\
 the\tDET
@@ -133,6 +134,43 @@ def test_train_refuses_existing_run(workdir, tmp_path, capsys):
     assert main(["train", cfg, "--out", out, "--force"]) == 0
 
 
+def test_train_force_starts_fresh_run(workdir, tmp_path):
+    old = write_cfg(tmp_path / "old.cfg", micro_config(workdir))
+    new = write_cfg(tmp_path / "new.cfg", micro_config(
+        workdir, **{"train.T": 10, "train.checkpoint_every": 5}))
+    out, ref = tmp_path / "run", tmp_path / "ref"
+    assert main(["train", old, "--out", str(out)]) == 0
+    assert main(["train", new, "--out", str(out), "--force"]) == 0
+    assert main(["train", new, "--out", str(ref)]) == 0
+
+    # only this run's rows and checkpoints remain
+    for name in ("metrics.jsonl", "snapshots.jsonl"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    steps = [json.loads(l)["step"] for l in (out / "metrics.jsonl").read_text().splitlines()]
+    assert steps == list(range(10))
+    assert sorted(os.listdir(out / "checkpoints")) == sorted(os.listdir(ref / "checkpoints")) \
+        == ["step_00000000.ckpt", "step_00000005.ckpt", "step_00000010.ckpt"]
+
+    # a resume picks up this run's checkpoint, not an older run's
+    os.remove(out / "checkpoints" / "step_00000010.ckpt")
+    assert main(["train", new, "--out", str(out), "--resume"]) == 0
+    for name in ("metrics.jsonl", "snapshots.jsonl"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    state, _, _ = load_checkpoint(str(out / "checkpoints" / "step_00000010.ckpt"))
+    assert state.step == 10
+
+
+def test_train_refused_resume_keeps_config(workdir, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    wider = write_cfg(tmp_path / "b.cfg", micro_config(workdir, **{"model.hidden_dim": 32}))
+    out = tmp_path / "run"
+    assert main(["train", cfg, "--out", str(out)]) == 0
+    saved = (out / "config.txt").read_bytes()
+    assert main(["train", wider, "--out", str(out), "--resume"]) == 1
+    assert "does not match" in capsys.readouterr().err
+    assert (out / "config.txt").read_bytes() == saved
+
+
 def test_train_lock_refuses_concurrent(workdir, tmp_path):
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
     out = tmp_path / "run"
@@ -249,6 +287,23 @@ def test_export_run_artifacts(workdir, tmp_path):
     assert main(["export", "--run", run, "--what", "schedule", "--out", str(scsv)]) == 0
     srows = scsv.read_text().splitlines()
     assert len(srows) == 24 + 2  # header + T+1 rows
+
+
+def test_export_survives_torn_last_line(workdir, tmp_path):
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    run = tmp_path / "run"
+    assert main(["train", cfg, "--out", str(run)]) == 0
+    snapshots = run / "snapshots.jsonl"
+    data = snapshots.read_bytes()
+    snapshots.write_bytes(data[:-30])  # a kill mid-write: half a row, no newline
+    out = tmp_path / "w.csv"
+    assert main(["export", "--run", str(run), "--what", "weights", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + data.count(b"\n") - 1
+
+    # a malformed line that is not the torn tail still fails
+    lines = data.decode().splitlines(keepends=True)
+    snapshots.write_text("".join(lines[:3]) + "{bad\n" + "".join(lines[3:]))
+    assert main(["export", "--run", str(run), "--what", "weights", "--out", str(out)]) == 1
 
 
 def test_export_unknown_run(tmp_path, capsys):

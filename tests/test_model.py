@@ -9,9 +9,7 @@ from tvmask.model.net import (
     backward_masked,
     dloss_dlogits,
     forward_masked,
-    forward_mlm,
     init_params,
-    mlm_loss,
     nll_from_logits,
     per_category_losses,
 )
@@ -25,28 +23,21 @@ def rand_ids(cfg, batch=3, seed=0):
     return np.random.default_rng(seed).integers(0, cfg.vocab_size, size=(batch, cfg.L_seq))
 
 
-def test_forward_mlm_rows_normalized():
-    params = init_params(SMALL, 0)
-    lp = forward_mlm(params, SMALL, rand_ids(SMALL))
-    assert lp.shape == (3, SMALL.L_seq, SMALL.vocab_size)
-    np.testing.assert_allclose(np.log(np.exp(lp).sum(axis=-1)), 0.0, atol=1e-6)
-
-
-def test_forward_mlm_rejects_out_of_range_ids():
-    params = init_params(SMALL, 0)
-    bad = rand_ids(SMALL)
-    bad[0, 0] = SMALL.vocab_size
-    with pytest.raises(ValueError):
-        forward_mlm(params, SMALL, bad)
+def forward_all(params, cfg, ids):
+    """forward_masked with every position selected: logits [B * L, V] in row-major order."""
+    B, L = ids.shape
+    mrows, mcols = np.repeat(np.arange(B), L), np.tile(np.arange(L), B)
+    logits, _ = forward_masked(params, cfg, ids, np.zeros(ids.shape, dtype=bool), mrows, mcols)
+    return logits
 
 
 def test_batch_permutation_permutes_outputs():
     params = init_params(SMALL, 1)
     ids = rand_ids(SMALL, batch=4, seed=3)
-    lp = forward_mlm(params, SMALL, ids)
+    logits = forward_all(params, SMALL, ids).reshape(4, SMALL.L_seq, SMALL.vocab_size)
     perm = np.array([2, 0, 3, 1])
-    lp_perm = forward_mlm(params, SMALL, ids[perm])
-    np.testing.assert_array_equal(lp_perm, lp[perm])
+    logits_perm = forward_all(params, SMALL, ids[perm]).reshape(logits.shape)
+    np.testing.assert_array_equal(logits_perm, logits[perm])
 
 
 def test_zero_head_gives_uniform_and_lnV_loss():
@@ -56,25 +47,22 @@ def test_zero_head_gives_uniform_and_lnV_loss():
     params["out_w"][:] = 0.0
     params["out_bias"][:] = 0.0
     ids = rand_ids(cfg)
-    lp = forward_mlm(params, cfg, ids)
-    np.testing.assert_allclose(lp, -math.log(cfg.vocab_size), atol=1e-12)
-    labels = np.full(ids.shape, -1)
-    labels[:, 2] = ids[:, 2]
-    scalar, _ = mlm_loss(lp, labels, np.zeros(ids.shape, dtype=int))
+    logits = forward_all(params, cfg, ids)
+    np.testing.assert_array_equal(logits, 0.0)  # every token equally likely
+    nll = nll_from_logits(logits, ids.reshape(-1))
+    np.testing.assert_allclose(nll, math.log(cfg.vocab_size), atol=1e-12)
+    scalar = per_category_losses(nll, np.zeros(nll.shape, dtype=int))[0]
     assert scalar == pytest.approx(math.log(cfg.vocab_size), abs=1e-9)
 
 
 def test_mlm_loss_single_token_known_prob():
-    # craft log-probs directly: true id has probability 0.5
+    # craft normalized logits directly: the true id has probability 0.5
     V = 8
-    lp = np.full((1, 4, V), np.log(0.5 / (V - 1)))
-    lp[0, 1, 3] = np.log(0.5)
-    labels = np.full((1, 4), -1)
-    labels[0, 1] = 3
-    pos = np.zeros((1, 4), dtype=int)
-    pos[0, 1] = 0  # NOUN
-    scalar, vec = mlm_loss(lp, labels, pos)
-    assert scalar == pytest.approx(math.log(2.0), abs=1e-12)
+    logits = np.full((1, V), np.log(0.5 / (V - 1)))
+    logits[0, 3] = np.log(0.5)
+    nll = nll_from_logits(logits, np.array([3]))
+    assert nll[0] == pytest.approx(math.log(2.0), abs=1e-12)
+    vec = per_category_losses(nll, np.array([0]))  # NOUN
     assert vec[0] == pytest.approx(math.log(2.0), abs=1e-12)
     assert np.all(np.isnan(vec[1:]))
 
@@ -97,9 +85,6 @@ def test_mlm_loss_per_token_mean_mode():
 
 
 def test_mlm_loss_empty_mask_errors():
-    lp = np.zeros((1, 4, 8))
-    with pytest.raises(ValueError):
-        mlm_loss(lp, np.full((1, 4), -1), np.zeros((1, 4), dtype=int))
     with pytest.raises(ValueError):
         per_category_losses(np.empty(0), np.empty(0, dtype=int))
 

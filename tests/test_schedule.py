@@ -8,6 +8,7 @@ from tvmask.schedule import (
     ScheduleKind,
     ScheduleSpec,
     expected_mass,
+    lr_at,
     ratio_at,
     schedule_rows,
 )
@@ -158,3 +159,24 @@ def test_schedule_rows_covers_inclusive_range():
     assert len(rows) == 51
     assert rows[0] == (0, pytest.approx(0.32))
     assert rows[-1] == (50, pytest.approx(0.02))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_lr_mirrors_ratio_shape(kind):
+    # with no warmup, lr / base_lr is the ratio with cosine's offset removed,
+    # over its peak, wherever the floor and the < 1 clamp leave the ratio alone
+    base = 3e-4
+    offset = 0.02 if kind is ScheduleKind.COSINE else 0.0
+    checked = 0
+    for p in (0.05, 0.15, 0.5):
+        peak = p if kind is ScheduleKind.FIXED else 2 * p
+        for T in (1, 7, 100, 1001):
+            spec = ScheduleSpec(kind, p=p, T=T)
+            for t in range(T + 1):
+                r = ratio_at(spec, t)
+                if not spec.floor < r < math.nextafter(1.0, 0.0):
+                    continue
+                assert lr_at(t, base, 0, T, kind) / base == pytest.approx(
+                    (r - offset) / peak, abs=1e-12), (p, T, t)
+                checked += 1
+    assert checked > 2000

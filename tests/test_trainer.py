@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -65,7 +66,9 @@ def test_lr_shapes_after_warmup():
     assert lr_at(60, base, W, T, ScheduleKind.LINEAR) == pytest.approx(base * 0.5)
     assert lr_at(60, base, W, T, ScheduleKind.COSINE) == pytest.approx(base * 0.5)
     assert lr_at(T, base, W, T, ScheduleKind.LINEAR) == 0.0
+    assert lr_at(60, base, W, T, ScheduleKind.QUAD_CONCAVE) == pytest.approx(base * 0.75)
     assert lr_at(60, base, W, T, ScheduleKind.QUAD_CONVEX) == pytest.approx(base * 0.25)
+    assert lr_at(60, base, W, T, ScheduleKind.ASCENDING) == pytest.approx(base * 0.5)
     assert lr_at(60, base, W, T, ScheduleKind.ASCEND_THEN_DECAY) == pytest.approx(base)
 
 
@@ -122,6 +125,24 @@ def test_checkpoint_resume_identical(micro_data, tmp_path):
         np.testing.assert_array_equal(full_state.params[name], resumed_state.params[name])
     np.testing.assert_array_equal(full_state.tracker.cum_loss, resumed_state.tracker.cum_loss)
     assert full_state.masked_total == resumed_state.masked_total
+
+
+def test_checkpoint_with_older_keys_resumes(micro_data, tmp_path):
+    # checkpoints from before the optimizer constants and the run seed were
+    # dropped from the file carry extra keys; the reader ignores them
+    full_state, full_sink = run_micro(micro_data, T=30)
+    half_state, _ = run_micro(micro_data, T=15)
+    path = tmp_path / "step_00000015.ckpt"
+    save_checkpoint(str(path), half_state, micro_cfg(micro_data[3]))
+    blob = pickle.loads(path.read_bytes())
+    blob["run_seed"] = 5
+    blob["opt"].update(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+    path.write_bytes(pickle.dumps(blob))
+    loaded, _, _ = load_checkpoint(str(path))
+    resumed_state, resumed_sink = run_micro(micro_data, T=30, state=loaded)
+    assert [r for r in full_sink.metrics if r["step"] >= 15] == resumed_sink.metrics
+    for name in full_state.params:
+        np.testing.assert_array_equal(full_state.params[name], resumed_state.params[name])
 
 
 def test_nan_loss_aborts_with_step(micro_data):
