@@ -230,6 +230,8 @@ def cmd_train(args) -> int:
                 raise CliError(f"{run_dir} has no checkpoint to resume from")
         elif not args.force:
             raise CliError(f"{run_dir} already contains a run (use --force or --resume)")
+    elif args.resume:
+        raise CliError(f"{run_dir} holds no run (no config.txt): nothing to resume")
     os.makedirs(run_dir, exist_ok=True)
     os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
 

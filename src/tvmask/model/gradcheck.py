@@ -7,10 +7,10 @@ import numpy as np
 from tvmask.model.net import (
     ModelConfig,
     backward_masked,
-    dloss_dlogits,
     forward_masked,
     init_params,
     nll_from_logits,
+    softmax_xent,
 )
 
 TINY_CONFIG = ModelConfig(
@@ -56,7 +56,7 @@ def grad_check(cfg: ModelConfig = TINY_CONFIG, seed: int = 0, n_samples: int = 2
     case = _make_case(cfg, seed)
     token_ids, pad_mask, mrows, mcols, labels = case
     logits, cache = forward_masked(params, cfg, token_ids, pad_mask, mrows, mcols)
-    grads = backward_masked(params, cfg, cache, dloss_dlogits(logits, labels))
+    grads = backward_masked(params, cfg, cache, softmax_xent(logits, labels)[1])
     if perturb:
         grads = {k: v * 1.5 for k, v in grads.items()}
 

@@ -90,95 +90,141 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 
 
 def gelu_cached(x):
-    """GELU (tanh form) plus the tanh itself, cached for the backward pass."""
-    x2 = x * x
-    inner = _GELU_K * (x + _GELU_C * (x2 * x))
-    t = np.tanh(inner)
-    return 0.5 * x * (1.0 + t), t
+    """GELU (tanh form) plus the tanh itself, cached for the backward pass.
+
+    x is left unchanged. Every step rounds as in
+    ``0.5 * x * (1 + tanh(k * (x + c * (x * x * x))))``.
+    """
+    t = x * x
+    t *= x
+    t *= _GELU_C
+    t += x
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    y = x * 0.5
+    y *= t + 1.0
+    return y, t
 
 
-def gelu_grad(x, t=None):
-    """d gelu / dx; pass the cached tanh to skip recomputing it."""
-    x2 = x * x
-    if t is None:
-        t = np.tanh(_GELU_K * (x + _GELU_C * (x2 * x)))
-    return 0.5 * (1.0 + t) + (0.5 * _GELU_K) * x * (1.0 - t * t) * (1.0 + (3.0 * _GELU_C) * x2)
+def gelu_grad(x, t):
+    """d gelu / dx from the tanh cached by gelu_cached.
+
+    Rounds as ``0.5 * (1 + t) + (0.5 * k) * x * (1 - t * t) * (1 + (3 * c) * x * x)``.
+    """
+    a = x * (0.5 * _GELU_K)
+    b = t * t
+    np.subtract(1.0, b, out=b)
+    a *= b
+    np.multiply(x, x, out=b)
+    b *= 3.0 * _GELU_C
+    b += 1.0
+    a *= b
+    np.add(t, 1.0, out=b)
+    b *= 0.5
+    b += a
+    return b
 
 
 def layernorm(x, g, b):
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv_std
-    return xhat * g + b, (xhat, inv_std)
+    """Normalise over the last axis; returns (y, (xhat, inv_std)) and leaves x unchanged."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    y = xhat * xhat
+    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv_std
+    np.multiply(xhat, g, out=y)
+    y += b
+    return y, (xhat, inv_std)
 
 
 def layernorm_backward(dy, g, cache):
+    """Returns (dx, dg, db); dx is written over dy, which the caller no longer needs."""
     xhat, inv_std = cache
     last = dy.shape[-1]
-    dg = (dy * xhat).reshape(-1, last).sum(axis=0)
+    tmp = dy * xhat
+    dg = tmp.reshape(-1, last).sum(axis=0)
     db = dy.reshape(-1, last).sum(axis=0)
-    dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) * inv_std
+    dx = dy
+    dx *= g
+    m1 = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=tmp)
+    m2 = tmp.mean(axis=-1, keepdims=True)
+    dx -= m1
+    np.multiply(xhat, m2, out=tmp)
+    dx -= tmp
+    dx *= inv_std
     return dx, dg, db
 
 
-def _split_heads(x, heads):
-    B, L, H = x.shape
-    return x.reshape(B, L, heads, H // heads).transpose(0, 2, 1, 3)
+def _split_heads(x, B, L, heads):
+    """[B * L, H] -> [B, heads, L, H // heads] view."""
+    return x.reshape(B, L, heads, -1).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x):
+    """[B, heads, L, dh] -> contiguous [B * L, heads * dh]."""
     B, nh, L, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, L, nh * dh)
+    return x.transpose(0, 2, 1, 3).reshape(B * L, nh * dh)
+
+
+def _linear(x, w, b):
+    """x @ w + b as one 2-D GEMM, with the bias added in place."""
+    y = x @ w
+    y += b
+    return y
 
 
 def encode(params, cfg: ModelConfig, token_ids, pad_mask):
-    """Run the embedding and encoder stack; returns hidden states and cache."""
+    """Run the embedding and encoder stack; returns hidden states [B, L, H] and cache.
+
+    Activations are kept as [B * L, features] so every linear layer is one
+    2-D GEMM; the attention core works on per-head views of them.
+    """
     B, L = token_ids.shape
+    H, nh = cfg.hidden_dim, cfg.heads
     dt = cfg.np_dtype
-    scale = 1.0 / math.sqrt(cfg.hidden_dim // cfg.heads)
+    scale = dt(1.0 / math.sqrt(H // nh))
     attn_bias = np.where(pad_mask[:, None, None, :], dt(ATTN_NEG), dt(0.0))
 
-    emb = params["tok_emb"][token_ids] + params["pos_emb"][None, :L, :]
-    x, emb_ln = layernorm(emb, params["emb_ln_g"], params["emb_ln_b"])
-    cache = {"token_ids": token_ids, "emb_ln": emb_ln, "attn_bias": attn_bias, "layers": []}
+    emb = params["tok_emb"][token_ids]
+    emb += params["pos_emb"][:L]
+    x, emb_ln = layernorm(emb.reshape(B * L, H), params["emb_ln_g"], params["emb_ln_b"])
+    cache = {"token_ids": token_ids, "emb_ln": emb_ln, "layers": []}
     for i in range(cfg.layers):
         p = f"l{i}_"
         x_in = x
-        q = _split_heads(x @ params[p + "wq"] + params[p + "bq"], cfg.heads)
-        k = _split_heads(x @ params[p + "wk"] + params[p + "bk"], cfg.heads)
-        v = _split_heads(x @ params[p + "wv"] + params[p + "bv"], cfg.heads)
-        scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * dt(scale) + attn_bias
-        scores -= scores.max(axis=-1, keepdims=True)
-        attn = np.exp(scores)
+        q = _split_heads(_linear(x, params[p + "wq"], params[p + "bq"]), B, L, nh)
+        k = _split_heads(_linear(x, params[p + "wk"], params[p + "bk"]), B, L, nh)
+        v = _split_heads(_linear(x, params[p + "wv"], params[p + "bv"]), B, L, nh)
+        attn = np.matmul(q, k.transpose(0, 1, 3, 2))
+        attn *= scale
+        attn += attn_bias
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(np.matmul(attn, v))
-        attn_out = ctx @ params[p + "wo"] + params[p + "bo"]
-        x1, ln1 = layernorm(x_in + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
-        ff_pre = x1 @ params[p + "w1"] + params[p + "b1"]
+        r1 = _linear(ctx, params[p + "wo"], params[p + "bo"])
+        r1 += x_in
+        x1, ln1 = layernorm(r1, params[p + "ln1_g"], params[p + "ln1_b"])
+        ff_pre = _linear(x1, params[p + "w1"], params[p + "b1"])
         ff_act, ff_tanh = gelu_cached(ff_pre)
-        ff_out = ff_act @ params[p + "w2"] + params[p + "b2"]
-        x, ln2 = layernorm(x1 + ff_out, params[p + "ln2_g"], params[p + "ln2_b"])
+        r2 = _linear(ff_act, params[p + "w2"], params[p + "b2"])
+        r2 += x1
+        x, ln2 = layernorm(r2, params[p + "ln2_g"], params[p + "ln2_b"])
         cache["layers"].append(
             {"x_in": x_in, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
              "ln1": ln1, "x1": x1, "ff_pre": ff_pre, "ff_act": ff_act,
              "ff_tanh": ff_tanh, "ln2": ln2}
         )
-    cache["hidden"] = x
-    return x, cache
+    return x.reshape(B, L, H), cache
 
 
 def _head(params, cfg: ModelConfig, h):
     """MLM head on a [N, H] slab of hidden states -> logits [N, V]."""
-    t_pre = h @ params["head_w"] + params["head_b"]
+    t_pre = _linear(h, params["head_w"], params["head_b"])
     t_act, t_tanh = gelu_cached(t_pre)
     t_out, head_ln = layernorm(t_act, params["head_ln_g"], params["head_ln_b"])
     out_w = params["tok_emb"].T if cfg.tied else params["out_w"]
-    logits = t_out @ out_w + params["out_bias"]
+    logits = _linear(t_out, out_w, params["out_bias"])
     return logits, {"h": h, "t_pre": t_pre, "t_tanh": t_tanh, "t_out": t_out, "head_ln": head_ln}
 
 
@@ -199,63 +245,66 @@ def backward_masked(params, cfg: ModelConfig, cache, dlogits):
     d_tout = dlogits @ out_w.T
     d_outw = hc["t_out"].T @ dlogits
     grads["out_bias"] = dlogits.sum(axis=0)
-    d_tact, grads["head_ln_g"], grads["head_ln_b"] = layernorm_backward(
+    d_tpre, grads["head_ln_g"], grads["head_ln_b"] = layernorm_backward(
         d_tout, params["head_ln_g"], hc["head_ln"]
     )
-    d_tpre = d_tact * gelu_grad(hc["t_pre"], hc["t_tanh"])
+    d_tpre *= gelu_grad(hc["t_pre"], hc["t_tanh"])
     grads["head_w"] = hc["h"].T @ d_tpre
     grads["head_b"] = d_tpre.sum(axis=0)
-    d_hidden_masked = d_tpre @ params["head_w"].T
 
-    dx = np.zeros_like(cache["hidden"])
-    dx[cache["mrows"], cache["mcols"]] = d_hidden_masked
-
+    token_ids = cache["token_ids"]
+    B, L = token_ids.shape
+    H, nh = cfg.hidden_dim, cfg.heads
     dt = cfg.np_dtype
-    scale = dt(1.0 / math.sqrt(cfg.hidden_dim // cfg.heads))
-    B, L, H = dx.shape
+    scale = dt(1.0 / math.sqrt(H // nh))
+    dx = np.zeros((B, L, H), dtype=dt)
+    dx[cache["mrows"], cache["mcols"]] = d_tpre @ params["head_w"].T
+    dx = dx.reshape(B * L, H)
     for i in reversed(range(cfg.layers)):
         p = f"l{i}_"
         lc = cache["layers"][i]
-        d_r2, grads[p + "ln2_g"], grads[p + "ln2_b"] = layernorm_backward(
+        # each layernorm_backward overwrites its input; the residual
+        # gradients are accumulated in place once their last reader is done
+        d_x1, grads[p + "ln2_g"], grads[p + "ln2_b"] = layernorm_backward(
             dx, params[p + "ln2_g"], lc["ln2"]
         )
-        d_x1 = d_r2.copy()
-        flat_r2 = d_r2.reshape(-1, H)
-        grads[p + "w2"] = lc["ff_act"].reshape(-1, cfg.ff_dim).T @ flat_r2
-        grads[p + "b2"] = flat_r2.sum(axis=0)
-        d_ffpre = (d_r2 @ params[p + "w2"].T) * gelu_grad(lc["ff_pre"], lc["ff_tanh"])
-        grads[p + "w1"] = lc["x1"].reshape(-1, H).T @ d_ffpre.reshape(-1, cfg.ff_dim)
-        grads[p + "b1"] = d_ffpre.reshape(-1, cfg.ff_dim).sum(axis=0)
+        grads[p + "w2"] = lc["ff_act"].T @ d_x1
+        grads[p + "b2"] = d_x1.sum(axis=0)
+        d_ffpre = d_x1 @ params[p + "w2"].T
+        d_ffpre *= gelu_grad(lc["ff_pre"], lc["ff_tanh"])
+        grads[p + "w1"] = lc["x1"].T @ d_ffpre
+        grads[p + "b1"] = d_ffpre.sum(axis=0)
         d_x1 += d_ffpre @ params[p + "w1"].T
-        d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = layernorm_backward(
+        dx, grads[p + "ln1_g"], grads[p + "ln1_b"] = layernorm_backward(
             d_x1, params[p + "ln1_g"], lc["ln1"]
         )
-        dx = d_r1.copy()
-        flat_r1 = d_r1.reshape(-1, H)
-        grads[p + "wo"] = lc["ctx"].reshape(-1, H).T @ flat_r1
-        grads[p + "bo"] = flat_r1.sum(axis=0)
-        d_ctx = _split_heads(d_r1 @ params[p + "wo"].T, cfg.heads)
-        d_attn = np.matmul(d_ctx, lc["v"].transpose(0, 1, 3, 2))
-        d_v = np.matmul(lc["attn"].transpose(0, 1, 3, 2), d_ctx)
+        grads[p + "wo"] = lc["ctx"].T @ dx
+        grads[p + "bo"] = dx.sum(axis=0)
+        d_ctx = _split_heads(dx @ params[p + "wo"].T, B, L, nh)
         attn = lc["attn"]
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        d_q = np.matmul(d_scores, lc["k"]) * scale
-        d_k = np.matmul(d_scores.transpose(0, 1, 3, 2), lc["q"]) * scale
-        x_in_flat = lc["x_in"].reshape(-1, H)
+        d_scores = np.matmul(d_ctx, lc["v"].transpose(0, 1, 3, 2))
+        d_v = np.matmul(attn.transpose(0, 1, 3, 2), d_ctx)
+        d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
+        d_scores *= attn
+        d_q = np.matmul(d_scores, lc["k"])
+        d_q *= scale
+        d_k = np.matmul(d_scores.transpose(0, 1, 3, 2), lc["q"])
+        d_k *= scale
         for name, dh in (("q", d_q), ("k", d_k), ("v", d_v)):
-            d_flat = _merge_heads(dh).reshape(-1, H)
-            grads[p + "w" + name] = x_in_flat.T @ d_flat
+            d_flat = _merge_heads(dh)
+            grads[p + "w" + name] = lc["x_in"].T @ d_flat
             grads[p + "b" + name] = d_flat.sum(axis=0)
-            dx += (d_flat @ params[p + "w" + name].T).reshape(B, L, H)
+            dx += d_flat @ params[p + "w" + name].T
 
     d_emb, grads["emb_ln_g"], grads["emb_ln_b"] = layernorm_backward(
         dx, params["emb_ln_g"], cache["emb_ln"]
     )
+    d_emb = d_emb.reshape(B, L, H)
     d_pos = np.zeros_like(params["pos_emb"])
     d_pos[:L] = d_emb.sum(axis=0)
     grads["pos_emb"] = d_pos
     d_tok = np.zeros_like(params["tok_emb"])
-    np.add.at(d_tok, cache["token_ids"], d_emb)
+    np.add.at(d_tok, token_ids, d_emb)
     if cfg.tied:
         d_tok += d_outw.T
     else:
@@ -264,26 +313,40 @@ def backward_masked(params, cfg: ModelConfig, cache, dlogits):
     return grads
 
 
-def nll_from_logits(logits, labels):
-    """Per-token negative log-likelihood (float64) from unnormalized logits [M, V].
+def _exp_and_nll(logits, labels):
+    """exp(logits - row max) in a fresh array, and the per-token NLL in float64.
 
     exp/sum stay in the model dtype (the expensive part); the final NLL
     is assembled in float64 so downstream reductions are stable.
     """
     m = logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(logits - m).sum(axis=-1, dtype=np.float64)) + m[:, 0].astype(np.float64)
+    e = logits - m
+    np.exp(e, out=e)
+    lse = np.log(e.sum(axis=-1, dtype=np.float64)) + m[:, 0].astype(np.float64)
     picked = logits[np.arange(labels.shape[0]), labels].astype(np.float64)
-    return lse - picked
+    return e, lse - picked
 
 
-def dloss_dlogits(logits, labels):
-    """Gradient of the mean masked NLL w.r.t. the logits, in model dtype."""
-    M = labels.shape[0]
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    probs = e / e.sum(axis=-1, keepdims=True)
-    probs[np.arange(M), labels] -= 1.0
-    return probs / M
+def nll_from_logits(logits, labels):
+    """Per-token negative log-likelihood (float64) from unnormalized logits [M, V].
+
+    The forward-only path, for evaluation; training uses softmax_xent.
+    """
+    return _exp_and_nll(logits, labels)[1]
+
+
+def softmax_xent(logits, labels):
+    """(nll, dlogits) from one max/exp pass over the logits [M, V].
+
+    nll is nll_from_logits(logits, labels); dlogits is the gradient of
+    nll.mean() w.r.t. the logits, in the model dtype. The exponentials
+    are normalised in place into dlogits; logits are left unchanged.
+    """
+    e, nll = _exp_and_nll(logits, labels)
+    e /= e.sum(axis=-1, keepdims=True)
+    e[np.arange(labels.shape[0]), labels] -= 1.0
+    e /= labels.shape[0]
+    return nll, e
 
 
 def per_category_losses(nll, pos_ids, mode="per-token-mean", n_categories=N_CATEGORIES):

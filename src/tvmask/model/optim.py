@@ -22,33 +22,60 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 WEIGHT_DECAY = 0.01
+BLOCK = 1 << 15  # elements per in-place update block; two scratch blocks stay in L2
 
 
 class AdamW:
-    """Weight decay applies only to matrices; vectors (biases, norm gains) are exempt."""
+    """Weight decay applies only to matrices; vectors (biases, norm gains) are exempt.
+
+    step() updates the moments and parameters in place, about BLOCK
+    elements at a time along each tensor's first axis, through two scratch
+    buffers made here, so a step allocates nothing parameter-sized. Every element is
+    rounded as in the textbook expression
+    ``p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)``.
+    """
 
     def __init__(self, params: dict):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        # a block is whole first-axis slices: at least one, however wide
+        size = max([BLOCK] + [p[0].size for p in params.values()])
+        dtypes = {p.dtype for p in params.values()}
+        self._scratch = {dt: (np.empty(size, dt), np.empty(size, dt)) for dt in dtypes}
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
         for name in sorted(params):
-            g = grads[name]
             p = params[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            if p.ndim >= 2:
-                update = update + WEIGHT_DECAY * p
-            p -= p.dtype.type(lr) * update.astype(p.dtype, copy=False)
+            s1, s2 = self._scratch[p.dtype]
+            lr_p = p.dtype.type(lr)
+            rows = max(1, BLOCK // p[0].size)
+            for lo in range(0, p.shape[0], rows):
+                blk = slice(lo, lo + rows)
+                pb = p[blk]
+                g, m, v = grads[name][blk], self.m[name][blk], self.v[name][blk]
+                a = s1[:pb.size].reshape(pb.shape)
+                u = s2[:pb.size].reshape(pb.shape)
+                m *= BETA1
+                np.multiply(g, 1.0 - BETA1, out=a)
+                m += a
+                v *= BETA2
+                np.multiply(g, g, out=a)
+                a *= 1.0 - BETA2
+                v += a
+                np.divide(v, bc2, out=a)
+                np.sqrt(a, out=a)
+                a += EPS
+                np.divide(m, bc1, out=u)
+                u /= a
+                if p.ndim >= 2:
+                    np.multiply(pb, WEIGHT_DECAY, out=a)
+                    u += a
+                u *= lr_p
+                pb -= u
 
     def state_dict(self) -> dict:
         return {

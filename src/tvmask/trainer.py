@@ -19,11 +19,11 @@ from tvmask.masking import MaskPolicy, build_batch
 from tvmask.model.net import (
     ModelConfig,
     backward_masked,
-    dloss_dlogits,
     forward_masked,
     init_params,
     nll_from_logits,
     per_category_losses,
+    softmax_xent,
 )
 from tvmask.model.optim import AdamW, clip_global_norm
 from tvmask.postags import GROUPS, UPOS_TAGS
@@ -149,13 +149,13 @@ def train(model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
         )
         pad_mask = tokens[rows] == pad_id
         logits, cache = forward_masked(state.params, model_cfg, corrupted, pad_mask, mrows, mcols)
-        nll = nll_from_logits(logits, labels)
+        nll, dlogits = softmax_xent(logits, labels)
         loss = float(nll.mean())
         if not math.isfinite(loss):
             raise TrainAbort(t, last_row)
         state.tracker.update(per_category_losses(nll, mpos, mode=settings.loss_mode))
-        grads = backward_masked(state.params, model_cfg, cache, dloss_dlogits(logits, labels))
-        clip_global_norm(grads, CLIP_NORM)
+        grads = backward_masked(state.params, model_cfg, cache, dlogits)
+        grad_norm = clip_global_norm(grads, CLIP_NORM)
         lr = lr_at(t, settings.base_lr, settings.warmup, settings.T, lr_shape)
         state.opt.step(state.params, grads, lr)
         for p in state.params.values():
@@ -164,7 +164,7 @@ def train(model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
         state.step = t + 1
         state.masked_total += int(labels.shape[0])
         last_row = {"step": t, "loss": loss, "ratio": float(ratio), "lr": float(lr),
-                    "masked": int(labels.shape[0])}
+                    "masked": int(labels.shape[0]), "grad_norm": grad_norm}
         sink.on_metrics(last_row)
 
     if settings.snapshot_every:

@@ -235,6 +235,27 @@ def test_train_resume_without_checkpoint_errors(workdir, tmp_path, capsys):
     assert main(["train", cfg, "--out", str(out), "--resume"]) == 1
 
 
+def test_train_resume_without_run_errors(workdir, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["train", cfg, "--out", str(out), "--resume"]) == 1
+    assert "nothing to resume" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_train_schedule_masking_nothing_at_step_0_rejected(workdir, tmp_path, capsys):
+    for kind in ("ascending", "ascend_then_decay"):
+        cfg = write_cfg(tmp_path / f"{kind}.cfg", micro_config(workdir, **{"schedule.kind": kind}))
+        out = tmp_path / f"run_{kind}"
+        assert main(["train", cfg, "--out", str(out)]) == 1, kind
+        assert "schedule.floor" in capsys.readouterr().err, kind
+        assert not out.exists(), kind
+        floored = write_cfg(tmp_path / f"{kind}_floor.cfg", micro_config(
+            workdir, **{"schedule.kind": kind, "schedule.floor": 0.01}))
+        assert main(["train", floored, "--out", str(out)]) == 0, kind
+
+
 def test_train_cli_overrides(workdir, tmp_path):
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
     out = str(tmp_path / "r")

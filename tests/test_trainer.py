@@ -9,7 +9,7 @@ from tvmask.corpus.synth import generate_sentences
 from tvmask.corpus.tokenizer import tokenize_aligned
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
-from tvmask.model.net import ModelConfig
+from tvmask.model.net import ModelConfig, backward_masked, forward_masked, softmax_xent
 from tvmask.postags import pos_id
 from tvmask.schedule import ScheduleKind, ScheduleSpec
 from tvmask.trainer import (
@@ -20,6 +20,7 @@ from tvmask.trainer import (
     fresh_state,
     load_checkpoint,
     lr_at,
+    make_batch,
     save_checkpoint,
     train,
 )
@@ -99,6 +100,25 @@ def test_metrics_record_schedule_ratio(micro_data):
         assert row["ratio"] == pytest.approx(
             max((1 - row["step"] / 20) * 0.3, 0.0), abs=1e-12)
         assert row["masked"] >= 4  # minimum-one rule per sequence, batch of 4
+
+
+def test_metrics_record_pre_clip_grad_norm(micro_data):
+    tokens, pos, special, vocab = micro_data
+    _, sink = run_micro(micro_data, T=12, base_lr=3e-2)
+    norms = [row["grad_norm"] for row in sink.metrics]
+    assert all(math.isfinite(n) and n > 0 for n in norms)
+
+    # step 0 from scratch: the same batch through the same initial weights
+    cfg = micro_cfg(vocab)
+    state = fresh_state(cfg, TrainSettings(T=12, seed=5))
+    rows, corrupted, mrows, mcols, labels, _ = make_batch(
+        tokens, pos, special, vocab, 0.15, MaskPolicy(), None, 5, 0, 4)
+    logits, cache = forward_masked(state.params, cfg, corrupted,
+                                   tokens[rows] == vocab.pad_id, mrows, mcols)
+    grads = backward_masked(state.params, cfg, cache, softmax_xent(logits, labels)[1])
+    flat = np.concatenate([g.ravel().astype(np.float64) for g in grads.values()])
+    assert norms[0] == pytest.approx(np.linalg.norm(flat), rel=1e-6)
+    assert max(norms) > 1.0  # logged before clipping to CLIP_NORM
 
 
 def test_snapshot_cadence(micro_data):
