@@ -27,7 +27,7 @@ from tvmask.corpus.vocab import Vocabulary, build_vocab
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.model.net import ModelConfig
 from tvmask.postags import UPOS_TAGS
-from tvmask.schedule import ScheduleKind, ScheduleSpec, schedule_rows
+from tvmask.schedule import ScheduleKind, ScheduleSpec, ratio_at, schedule_rows
 from tvmask import trainer as trainer_mod
 from tvmask.trainer import TrainAbort, TrainSettings, eval_mlm, load_checkpoint, train
 
@@ -218,6 +218,9 @@ def cmd_train(args) -> int:
         cfg.train_T = args.steps
     cfg = cfg.resolved()
     cfg.validate()
+    if ratio_at(_schedule_spec(cfg), 0) == 0.0:
+        raise CliError(f"schedule.kind = {cfg.schedule_kind} masks no token at step 0 with "
+                       f"schedule.floor = {cfg.schedule_floor}; set schedule.floor > 0")
     run_dir = cfg.run_out
     if not run_dir:
         raise CliError("no output directory (set run.out or pass --out)")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from tvmask.postags import N_CATEGORIES
-from tvmask.schedule import ScheduleKind, default_floor, shape
+from tvmask.schedule import ScheduleKind, default_floor
 from tvmask.tracker import sigmoid
 
 
@@ -62,11 +62,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.schedule_kind not in {k.value for k in ScheduleKind}:
             raise ConfigError(f"unknown schedule.kind {self.schedule_kind!r}")
-        kind = ScheduleKind(self.schedule_kind)
-        floor = self.schedule_floor if self.schedule_floor >= 0 else default_floor(kind)
-        if shape(kind, 0.0) == 0.0 and floor == 0.0:
-            raise ConfigError(f"schedule.kind = {self.schedule_kind} masks no token at step 0 "
-                              "with schedule.floor = 0; set schedule.floor > 0")
         if self.lr_shape and self.lr_shape not in {k.value for k in ScheduleKind}:
             raise ConfigError(f"unknown lr.shape {self.lr_shape!r}")
         if self.mask_strategy not in ("random", "ptw"):
