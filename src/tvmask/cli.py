@@ -25,11 +25,10 @@ from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.tokenizer import tokenize_aligned
 from tvmask.corpus.vocab import Vocabulary, build_vocab
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
-from tvmask.model.net import ModelConfig
 from tvmask.postags import UPOS_TAGS
 from tvmask.schedule import ScheduleKind, ScheduleSpec, ratio_at, schedule_rows
 from tvmask import trainer as trainer_mod
-from tvmask.trainer import TrainAbort, TrainSettings, eval_mlm, load_checkpoint, train
+from tvmask.trainer import TrainAbort, eval_mlm, load_checkpoint, train
 
 log = logging.getLogger("tvmask")
 
@@ -158,13 +157,9 @@ def _truncate_jsonl(path, resume_step: int) -> None:
         f.writelines(json.dumps(row) + "\n" for row in rows)
 
 
-def _schedule_spec(cfg: RunConfig) -> ScheduleSpec:
-    return ScheduleSpec(ScheduleKind(cfg.schedule_kind), p=cfg.schedule_p,
-                        T=cfg.schedule_T, floor=cfg.schedule_floor)
-
-
 def _build_run_pieces(cfg: RunConfig):
-    """Everything train/eval need, resolved from the config + prepared corpus."""
+    """The prepared corpus of the config, checked against its vocabulary hash,
+    and the model shaped for it."""
     prepared = cfg.corpus_prepared
     if not prepared or not os.path.isdir(prepared):
         raise CliError(f"corpus.prepared does not point at a prepared corpus: {prepared!r}")
@@ -172,23 +167,19 @@ def _build_run_pieces(cfg: RunConfig):
     vocab = Vocabulary.load(os.path.join(prepared, "vocab.txt"))
     if vocab.content_hash() != meta["vocab_hash"]:
         raise CliError(f"vocabulary in {prepared} does not match its meta.json hash")
-    model_cfg = ModelConfig(
-        layers=cfg.model_layers, hidden_dim=cfg.model_hidden_dim, heads=cfg.model_heads,
-        ff_dim=cfg.model_ff_dim, vocab_size=vocab.size, L_seq=int(meta["L_seq"]),
-        tied=cfg.model_tied,
-    )
-    spec = _schedule_spec(cfg)
-    split = cfg.mask_corrupt_split
-    policy = MaskPolicy(strategy=cfg.mask_strategy, mask_frac=split[0],
-                        random_frac=split[1], keep_frac=split[2])
-    settings = TrainSettings(
-        T=cfg.train_T, batch_size=cfg.train_batch_size, seed=cfg.run_seed,
-        base_lr=cfg.lr_base, warmup=cfg.lr_warmup,
-        lr_shape=ScheduleKind(cfg.lr_shape) if cfg.lr_shape else None,
-        loss_mode=cfg.ptw_loss_mode, beta=cfg.ptw_beta, mu=cfg.ptw_mu,
-        snapshot_every=cfg.ptw_snapshot_every, checkpoint_every=cfg.train_checkpoint_every,
-    )
-    return tokens, pos_ids, special, vocab, meta, model_cfg, spec, policy, settings
+    model_cfg = cfg.model_config(vocab.size, int(meta["L_seq"]))
+    return tokens, pos_ids, special, vocab, meta, model_cfg
+
+
+def _check_same_run(cfg: RunConfig, run_dir) -> None:
+    """A resume must continue the run's own config; the corpus path may move
+    (the vocabulary hash guards the corpus) and so may the run directory."""
+    saved = cfgmod.load(os.path.join(run_dir, "config.txt"))
+    changed = [key for key in cfgmod.differing_keys(saved, cfg)
+               if key not in ("corpus.prepared", "run.out")]
+    if changed:
+        raise CliError(f"config does not match the run's config.txt: {', '.join(changed)} "
+                       f"differ (to change them, start a new run)")
 
 
 def _acquire_lock(run_dir):
@@ -218,7 +209,7 @@ def cmd_train(args) -> int:
         cfg.train_T = args.steps
     cfg = cfg.resolved()
     cfg.validate()
-    if ratio_at(_schedule_spec(cfg), 0) == 0.0:
+    if ratio_at(cfg.schedule_spec(), 0) == 0.0:
         raise CliError(f"schedule.kind = {cfg.schedule_kind} masks no token at step 0 with "
                        f"schedule.floor = {cfg.schedule_floor}; set schedule.floor > 0")
     run_dir = cfg.run_out
@@ -231,18 +222,18 @@ def cmd_train(args) -> int:
             resume_step = _latest_checkpoint_step(run_dir)
             if resume_step is None:
                 raise CliError(f"{run_dir} has no checkpoint to resume from")
+            _check_same_run(cfg, run_dir)
         elif not args.force:
             raise CliError(f"{run_dir} already contains a run (use --force or --resume)")
     elif args.resume:
         raise CliError(f"{run_dir} holds no run (no config.txt): nothing to resume")
+    tokens, pos_ids, special, vocab, meta, model_cfg = _build_run_pieces(cfg)
     os.makedirs(run_dir, exist_ok=True)
     os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
 
     lock = _acquire_lock(run_dir)
     sink = None
     try:
-        pieces = _build_run_pieces(cfg)
-        tokens, pos_ids, special, vocab, meta, model_cfg, spec, policy, settings = pieces
         ckpt_dir = os.path.join(run_dir, "checkpoints")
         state = None
         if resume_step is not None:
@@ -257,7 +248,7 @@ def cmd_train(args) -> int:
                 os.remove(trainer_mod.checkpoint_path(ckpt_dir, step))
         cfgmod.save(cfg, os.path.join(run_dir, "config.txt"))
         sink = JsonlSink(run_dir, resume_step=resume_step)
-        train(model_cfg, tokens, pos_ids, special, vocab, spec, policy, settings,
+        train(cfg, model_cfg, tokens, pos_ids, special, vocab,
               sink=sink, state=state, checkpoint_dir=ckpt_dir,
               checkpoint_extra={"vocab_hash": meta["vocab_hash"]})
     except TrainAbort as err:
@@ -292,7 +283,7 @@ def cmd_export(args) -> int:
     if not os.path.exists(cfg_path):
         raise CliError(f"not a run directory (no config.txt): {run_dir}")
     if args.what == "schedule":
-        _write_schedule_csv(args.out, _schedule_spec(cfgmod.load(cfg_path)))
+        _write_schedule_csv(args.out, cfgmod.load(cfg_path).schedule_spec())
         return EXIT_OK
     snapshots_path = os.path.join(run_dir, "snapshots.jsonl")
     if not os.path.exists(snapshots_path):

@@ -12,8 +12,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from tvmask.masking import MaskPolicy
+from tvmask.model.net import ModelConfig
 from tvmask.postags import N_CATEGORIES
-from tvmask.schedule import ScheduleKind, default_floor
+from tvmask.schedule import ScheduleKind, ScheduleSpec, default_floor
 from tvmask.tracker import sigmoid
 
 
@@ -23,6 +25,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """Everything that defines a run; field ``section_key`` is file key ``section.key``."""
+
     corpus_prepared: str = ""
     schedule_kind: str = "fixed"
     schedule_p: float = 0.15
@@ -59,19 +63,41 @@ class RunConfig:
             out.lr_shape = out.schedule_kind
         return out
 
+    def schedule_spec(self) -> ScheduleSpec:
+        """The masking-ratio schedule; call on a resolved config."""
+        return ScheduleSpec(ScheduleKind(self.schedule_kind), p=self.schedule_p,
+                            T=self.schedule_T, floor=self.schedule_floor)
+
+    def mask_policy(self) -> MaskPolicy:
+        """How positions are picked and corrupted."""
+        mask_frac, random_frac, keep_frac = self.mask_corrupt_split
+        return MaskPolicy(strategy=self.mask_strategy, mask_frac=mask_frac,
+                          random_frac=random_frac, keep_frac=keep_frac)
+
+    def model_config(self, vocab_size: int, L_seq: int) -> ModelConfig:
+        """The encoder for a prepared corpus with this vocabulary size and L_seq."""
+        return ModelConfig(layers=self.model_layers, hidden_dim=self.model_hidden_dim,
+                           heads=self.model_heads, ff_dim=self.model_ff_dim,
+                           vocab_size=vocab_size, L_seq=L_seq, tied=self.model_tied)
+
     def validate(self) -> None:
         if self.schedule_kind not in {k.value for k in ScheduleKind}:
             raise ConfigError(f"unknown schedule.kind {self.schedule_kind!r}")
         if self.lr_shape and self.lr_shape not in {k.value for k in ScheduleKind}:
             raise ConfigError(f"unknown lr.shape {self.lr_shape!r}")
-        if self.mask_strategy not in ("random", "ptw"):
-            raise ConfigError(f"unknown mask.strategy {self.mask_strategy!r}")
         if self.ptw_loss_mode not in ("per-token-mean", "batch-share"):
             raise ConfigError(f"unknown ptw.loss_mode {self.ptw_loss_mode!r}")
         if len(self.mask_corrupt_split) != 3:
             raise ConfigError("mask.corrupt_split needs three comma-separated fractions")
+        try:
+            self.mask_policy()
+        except ValueError as err:
+            raise ConfigError(f"mask.strategy / mask.corrupt_split: {err}") from None
         if self.train_T < 0 or self.train_batch_size < 1:
             raise ConfigError("train.T must be >= 0 and train.batch_size >= 1")
+        if 0 < self.schedule_T < self.train_T:
+            raise ConfigError(f"schedule.T = {self.schedule_T} ends before train.T = "
+                              f"{self.train_T}; set schedule.T >= train.T or 0")
         if not 0.0 < self.ptw_beta < 1.0:
             raise ConfigError(f"ptw.beta must be in (0, 1), got {self.ptw_beta}")
         if not self.ptw_mu > 0.0:
@@ -83,33 +109,14 @@ class RunConfig:
             raise ConfigError(f"ptw.mu = {self.ptw_mu} underflows the lowest masking weight to 0")
 
 
-_KEY_TO_FIELD = {
-    "corpus.prepared": "corpus_prepared",
-    "schedule.kind": "schedule_kind",
-    "schedule.p": "schedule_p",
-    "schedule.T": "schedule_T",
-    "schedule.floor": "schedule_floor",
-    "ptw.beta": "ptw_beta",
-    "ptw.mu": "ptw_mu",
-    "ptw.loss_mode": "ptw_loss_mode",
-    "ptw.snapshot_every": "ptw_snapshot_every",
-    "mask.strategy": "mask_strategy",
-    "mask.corrupt_split": "mask_corrupt_split",
-    "model.layers": "model_layers",
-    "model.hidden_dim": "model_hidden_dim",
-    "model.heads": "model_heads",
-    "model.ff_dim": "model_ff_dim",
-    "model.tied": "model_tied",
-    "lr.base": "lr_base",
-    "lr.warmup": "lr_warmup",
-    "lr.shape": "lr_shape",
-    "train.T": "train_T",
-    "train.batch_size": "train_batch_size",
-    "train.checkpoint_every": "train_checkpoint_every",
-    "run.seed": "run_seed",
-    "run.out": "run_out",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+def _key(name: str) -> str:
+    """File key of a field: the first "_" becomes the section dot."""
+    return name.replace("_", ".", 1)
+
+
+def differing_keys(a: RunConfig, b: RunConfig) -> list[str]:
+    """File keys whose values differ between two configs, in file order."""
+    return [_key(f.name) for f in fields(a) if getattr(a, f.name) != getattr(b, f.name)]
 
 
 def _format_value(value) -> str:
@@ -141,14 +148,13 @@ def _parse_value(field_type, raw: str):
 def to_text(cfg: RunConfig) -> str:
     lines = []
     for f in fields(cfg):
-        key = _FIELD_TO_KEY[f.name]
-        lines.append(f"{key} = {_format_value(getattr(cfg, f.name))}")
+        lines.append(f"{_key(f.name)} = {_format_value(getattr(cfg, f.name))}")
     return "\n".join(lines) + "\n"
 
 
 def from_text(text: str) -> RunConfig:
     cfg = RunConfig()
-    concrete = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
+    names = {_key(f.name): f.name for f in fields(cfg)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -156,10 +162,10 @@ def from_text(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_TO_FIELD:
+        if key not in names:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        name = _KEY_TO_FIELD[key]
-        setattr(cfg, name, _parse_value(concrete[name], raw))
+        name = names[key]
+        setattr(cfg, name, _parse_value(type(getattr(cfg, name)), raw))
     return cfg
 
 

@@ -361,7 +361,7 @@ def softmax_xent(logits, labels):
     return nll, e
 
 
-def per_category_losses(nll, pos_ids, mode="per-token-mean", n_categories=N_CATEGORIES):
+def per_category_losses(nll, pos_ids, mode="per-token-mean"):
     """Aggregate per-token losses into a per-category vector; NaN = absent.
 
     per-token-mean: mean loss over the category's masked tokens.
@@ -370,12 +370,12 @@ def per_category_losses(nll, pos_ids, mode="per-token-mean", n_categories=N_CATE
     """
     if mode not in ("per-token-mean", "batch-share"):
         raise ValueError(f"unknown loss mode {mode!r}")
-    out = np.full(n_categories, np.nan)
+    out = np.full(N_CATEGORIES, np.nan)
     total = nll.shape[0]
     if total == 0:
         raise ValueError("no masked tokens to aggregate")
-    sums = np.zeros(n_categories)
-    counts = np.zeros(n_categories, dtype=np.int64)
+    sums = np.zeros(N_CATEGORIES)
+    counts = np.zeros(N_CATEGORIES, dtype=np.int64)
     np.add.at(sums, pos_ids, nll)
     np.add.at(counts, pos_ids, 1)
     present = counts > 0

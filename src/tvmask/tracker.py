@@ -32,15 +32,14 @@ class TrackerSnapshot(NamedTuple):
 class CategoryLossTracker:
     """EMA tracker of per-category losses."""
 
-    def __init__(self, n_categories: int = N_CATEGORIES, beta: float = 0.99, mu: float = 1.0):
+    def __init__(self, beta: float = 0.99, mu: float = 1.0):
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {beta}")
         if mu <= 0.0:
             raise ValueError(f"mu must be > 0, got {mu}")
-        self.n_categories = n_categories
         self.beta = beta
         self.mu = mu
-        self.cum_loss = np.zeros(n_categories, dtype=np.float64)
+        self.cum_loss = np.zeros(N_CATEGORIES, dtype=np.float64)
         self.step = 0
 
     def update(self, batch_losses: np.ndarray) -> None:
@@ -50,8 +49,8 @@ class CategoryLossTracker:
         absent from the batch, whose cumulative loss is left unchanged.
         """
         losses = np.asarray(batch_losses, dtype=np.float64)
-        if losses.shape != (self.n_categories,):
-            raise ValueError(f"expected {self.n_categories} losses, got shape {losses.shape}")
+        if losses.shape != (N_CATEGORIES,):
+            raise ValueError(f"expected {N_CATEGORIES} losses, got shape {losses.shape}")
         present = ~np.isnan(losses)
         if np.any(losses[present] < 0.0):
             raise ValueError("per-category losses must be >= 0")
@@ -71,7 +70,6 @@ class CategoryLossTracker:
 
     def state_dict(self) -> dict:
         return {
-            "n_categories": self.n_categories,
             "beta": self.beta,
             "mu": self.mu,
             "cum_loss": self.cum_loss.copy(),
@@ -80,7 +78,7 @@ class CategoryLossTracker:
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "CategoryLossTracker":
-        tracker = cls(state["n_categories"], beta=state["beta"], mu=state["mu"])
+        tracker = cls(beta=state["beta"], mu=state["mu"])
         tracker.cum_loss[:] = state["cum_loss"]
         tracker.step = int(state["step"])
         return tracker

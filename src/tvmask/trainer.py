@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tvmask.config import RunConfig
 from tvmask.masking import MaskPolicy, build_batch
 from tvmask.model.net import (
     ModelConfig,
@@ -27,7 +28,7 @@ from tvmask.model.net import (
 )
 from tvmask.model.optim import AdamW, clip_global_norm
 from tvmask.postags import GROUPS, UPOS_TAGS
-from tvmask.schedule import ScheduleKind, ScheduleSpec, lr_at, ratio_at
+from tvmask.schedule import ScheduleKind, lr_at, ratio_at
 from tvmask.tracker import CategoryLossTracker
 
 # stream tags keeping the seed lineages of batch choice, masking and eval apart
@@ -46,21 +47,6 @@ class TrainAbort(RuntimeError):
         super().__init__(f"non-finite loss at step {step}")
         self.step = step
         self.last_metrics = last_metrics
-
-
-@dataclass
-class TrainSettings:
-    T: int
-    batch_size: int = 16
-    seed: int = 0
-    base_lr: float = 1e-3
-    warmup: int = 100
-    lr_shape: ScheduleKind | None = None  # None -> mirror the masking schedule
-    loss_mode: str = "per-token-mean"
-    beta: float = 0.99
-    mu: float = 1.0
-    snapshot_every: int = 10
-    checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
 
 @dataclass
@@ -86,9 +72,9 @@ class ListSink:
         self.snapshots.extend(rows)
 
 
-def fresh_state(model_cfg: ModelConfig, settings: TrainSettings) -> TrainState:
-    params = init_params(model_cfg, settings.seed)
-    tracker = CategoryLossTracker(beta=settings.beta, mu=settings.mu)
+def fresh_state(model_cfg: ModelConfig, cfg: RunConfig) -> TrainState:
+    params = init_params(model_cfg, cfg.run_seed)
+    tracker = CategoryLossTracker(beta=cfg.ptw_beta, mu=cfg.ptw_mu)
     return TrainState(params=params, opt=AdamW(params), tracker=tracker)
 
 
@@ -121,31 +107,35 @@ def make_batch(tokens, pos_ids, special, vocab, ratio, policy, weights, seed, st
     return rows, plan.corrupted_ids, plan.rows, plan.cols, plan.labels, mpos
 
 
-def train(model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
-          schedule_spec: ScheduleSpec, policy: MaskPolicy, settings: TrainSettings,
+def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
           sink=None, state: TrainState | None = None, checkpoint_dir=None,
           checkpoint_extra: dict | None = None) -> TrainState:
-    """Run (or continue) training to settings.T steps; returns the final state."""
+    """Run (or continue) training to cfg.train_T steps; returns the final state."""
+    cfg = cfg.resolved()
+    cfg.validate()
+    schedule_spec = cfg.schedule_spec()
+    policy = cfg.mask_policy()
+    lr_shape = ScheduleKind(cfg.lr_shape)
+    T = cfg.train_T
     if state is None:
-        state = fresh_state(model_cfg, settings)
+        state = fresh_state(model_cfg, cfg)
     if sink is None:
         sink = ListSink()
-    lr_shape = settings.lr_shape if settings.lr_shape is not None else schedule_spec.kind
     pad_id = vocab.pad_id
     last_row: dict | None = None
 
-    for t in range(state.step, settings.T):
-        if checkpoint_dir and settings.checkpoint_every and t % settings.checkpoint_every == 0:
+    for t in range(state.step, T):
+        if checkpoint_dir and cfg.train_checkpoint_every and t % cfg.train_checkpoint_every == 0:
             save_checkpoint(checkpoint_path(checkpoint_dir, t), state, model_cfg,
                             extra=checkpoint_extra)
-        if settings.snapshot_every and t % settings.snapshot_every == 0:
+        if cfg.ptw_snapshot_every and t % cfg.ptw_snapshot_every == 0:
             sink.on_snapshots(_snapshot_rows(state.tracker, t))
 
         ratio = ratio_at(schedule_spec, t)
         weights = state.tracker.weights() if policy.strategy == "ptw" else None
         rows, corrupted, mrows, mcols, labels, mpos = make_batch(
             tokens, pos_ids, special, vocab, ratio, policy, weights,
-            settings.seed, t, settings.batch_size,
+            cfg.run_seed, t, cfg.train_batch_size,
         )
         pad_mask = tokens[rows] == pad_id
         logits, cache = forward_masked(state.params, model_cfg, corrupted, pad_mask, mrows, mcols)
@@ -153,10 +143,10 @@ def train(model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
         loss = float(nll.mean())
         if not math.isfinite(loss):
             raise TrainAbort(t, last_row)
-        state.tracker.update(per_category_losses(nll, mpos, mode=settings.loss_mode))
+        state.tracker.update(per_category_losses(nll, mpos, mode=cfg.ptw_loss_mode))
         grads = backward_masked(state.params, model_cfg, cache, dlogits)
         grad_norm = clip_global_norm(grads, CLIP_NORM)
-        lr = lr_at(t, settings.base_lr, settings.warmup, settings.T, lr_shape)
+        lr = lr_at(t, cfg.lr_base, cfg.lr_warmup, T, lr_shape)
         state.opt.step(state.params, grads, lr)
         for p in state.params.values():
             if not np.isfinite(p).all():
@@ -167,10 +157,10 @@ def train(model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
                     "masked": int(labels.shape[0]), "grad_norm": grad_norm}
         sink.on_metrics(last_row)
 
-    if settings.snapshot_every:
-        sink.on_snapshots(_snapshot_rows(state.tracker, settings.T))
+    if cfg.ptw_snapshot_every:
+        sink.on_snapshots(_snapshot_rows(state.tracker, T))
     if checkpoint_dir:
-        save_checkpoint(checkpoint_path(checkpoint_dir, settings.T), state, model_cfg,
+        save_checkpoint(checkpoint_path(checkpoint_dir, T), state, model_cfg,
                         extra=checkpoint_extra)
     return state
 
@@ -212,8 +202,7 @@ def load_checkpoint(path) -> tuple[TrainState, ModelConfig, dict]:
 
 
 def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
-             ratio: float = 0.15, seed: int = 0, batch_size: int = 32,
-             policy: MaskPolicy | None = None) -> dict:
+             ratio: float = 0.15, seed: int = 0, batch_size: int = 32) -> dict:
     """Deterministic masked evaluation on a held-out packed corpus.
 
     Masks every sequence at the given fixed ratio in one plan drawn from
@@ -222,10 +211,8 @@ def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
     token loss per category plus the function / non-function / other
     group means (means over each group's present categories).
     """
-    if policy is None:
-        policy = MaskPolicy(strategy="random")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_EVAL]))
-    plan = build_batch(tokens, pos_ids, special, ratio, policy, vocab, rng)
+    plan = build_batch(tokens, pos_ids, special, ratio, MaskPolicy(), vocab, rng)
     pad_mask = tokens == vocab.pad_id
     nll = []
     for start in range(0, tokens.shape[0], batch_size):

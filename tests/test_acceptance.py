@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from tvmask.config import RunConfig
 from tvmask.corpus.packing import pack_to_arrays
 from tvmask.corpus.synth import generate_sentences
 from tvmask.corpus.tokenizer import tokenize_aligned
@@ -23,7 +24,7 @@ from tvmask.model.net import ModelConfig
 from tvmask.postags import FUNCTION_IDS, NON_FUNCTION_IDS, UPOS_TAGS, pos_id
 from tvmask.schedule import ScheduleKind, ScheduleSpec, expected_mass, ratio_at
 from tvmask.tracker import CategoryLossTracker, weights_from_losses
-from tvmask.trainer import ListSink, TrainSettings, eval_mlm, load_checkpoint, save_checkpoint, train
+from tvmask.trainer import ListSink, eval_mlm, load_checkpoint, save_checkpoint, train
 
 from conftest import make_sequence
 from test_masker import assert_inclusion_frequencies, enumerate_orders, inclusion_from_orders
@@ -69,16 +70,17 @@ MICRO_MODEL = dict(layers=1, hidden_dim=16, heads=2, ff_dim=32, L_seq=64)
 
 
 def run_training(corpus, model_kw, kind, strategy, T, seed, batch_size=8, state=None,
-                 checkpoint_dir=None, **settings_kw):
+                 checkpoint_dir=None, **run_kw):
     tokens, pos, special, vocab, _ = corpus
     cfg = ModelConfig(vocab_size=vocab.size, **model_kw)
-    spec = ScheduleSpec(kind, p=0.15, T=T)
-    settings_kw.setdefault("base_lr", 1e-3)
-    settings_kw.setdefault("warmup", 100)
-    settings = TrainSettings(T=T, batch_size=batch_size, seed=seed, **settings_kw)
+    run_kw.setdefault("lr_base", 1e-3)
+    run_kw.setdefault("lr_warmup", 100)
+    run_kw.setdefault("train_checkpoint_every", 0)
+    run_cfg = RunConfig(schedule_kind=kind.value, schedule_p=0.15, mask_strategy=strategy,
+                        train_T=T, train_batch_size=batch_size, run_seed=seed, **run_kw)
     sink = ListSink()
-    state = train(cfg, tokens, pos, special, vocab, spec, MaskPolicy(strategy=strategy),
-                  settings, sink=sink, state=state, checkpoint_dir=checkpoint_dir)
+    state = train(run_cfg, cfg, tokens, pos, special, vocab, sink=sink, state=state,
+                  checkpoint_dir=checkpoint_dir)
     return state, sink, cfg
 
 
@@ -285,7 +287,7 @@ def test_criterion_10_determinism_and_resume(micro_corpus, tmp_path):
 
         # interruption: take the checkpoint the full-horizon run wrote at 150
         full, _, _ = run_training(micro_corpus, MICRO_MODEL, ScheduleKind.LINEAR,
-                                  "ptw", T=300, seed=1234, checkpoint_every=150,
+                                  "ptw", T=300, seed=1234, train_checkpoint_every=150,
                                   checkpoint_dir=str(tmp_path))
         loaded, _, _ = load_checkpoint(str(tmp_path / "step_00000150.ckpt"))
         assert loaded.step == 150

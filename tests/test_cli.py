@@ -171,6 +171,33 @@ def test_train_refused_resume_keeps_config(workdir, tmp_path, capsys):
     assert (out / "config.txt").read_bytes() == saved
 
 
+def test_train_resume_refuses_changed_config(workdir, tmp_path, capsys):
+    # a fixed/ptw run resumed as cosine/random, and a T=60 run resumed with T=40
+    cases = [
+        ({"schedule.kind": "fixed", "mask.strategy": "ptw"},
+         {"schedule.kind": "cosine", "mask.strategy": "random"},
+         ["schedule.kind", "schedule.floor", "mask.strategy", "lr.shape"]),
+        ({"train.T": 60, "train.checkpoint_every": 25}, {"train.T": 40},
+         ["schedule.T", "train.T", "train.checkpoint_every"]),
+    ]
+    for i, (first, second, keys) in enumerate(cases):
+        cfg = write_cfg(tmp_path / f"a{i}.cfg", micro_config(workdir, **first))
+        changed = write_cfg(tmp_path / f"b{i}.cfg", micro_config(workdir, **second))
+        out = tmp_path / f"run{i}"
+        assert main(["train", cfg, "--out", str(out)]) == 0
+        os.remove(sorted((out / "checkpoints").iterdir())[-1])  # interrupted before the end
+        before = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["train", changed, "--out", str(out), "--resume"]) == 1, i
+        err = capsys.readouterr().err
+        assert "config does not match the run's config.txt" in err, i
+        assert all(key in err for key in keys), (i, err)
+        assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before, i
+        # the run's own config still resumes, from another corpus path to the same corpus
+        assert main(["train", cfg, "--out", str(out), "--resume",
+                     "--corpus", str(workdir / "prep") + os.sep]) == 0, i
+
+
 def test_train_lock_refuses_concurrent(workdir, tmp_path):
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
     out = tmp_path / "run"
@@ -225,6 +252,20 @@ def test_train_bad_ptw_values_rejected_before_run_dir(workdir, tmp_path):
         out = tmp_path / f"run{i}"
         assert main(["train", cfg, "--out", str(out)]) == 1, kv
         assert not out.exists(), kv
+
+
+def test_train_bad_config_rejected_before_run_dir(workdir, tmp_path, capsys):
+    for i, kv in enumerate([{"schedule.T": 20, "train.T": 40},
+                            {"mask.corrupt_split": "0.5,0.1,0.1"},
+                            {"corpus.prepared": str(tmp_path / "missing")}]):
+        cfg = write_cfg(tmp_path / f"bad{i}.cfg", micro_config(workdir, **kv))
+        out = tmp_path / f"run{i}"
+        assert main(["train", cfg, "--out", str(out)]) == 1, kv
+        assert next(iter(kv)) in capsys.readouterr().err, kv
+        assert not out.exists(), kv
+    # a schedule longer than the run is fine
+    cfg = write_cfg(tmp_path / "long.cfg", micro_config(workdir, **{"schedule.T": 40}))
+    assert main(["train", cfg, "--out", str(tmp_path / "long"), "--steps", "20"]) == 0
 
 
 def test_train_resume_without_checkpoint_errors(workdir, tmp_path, capsys):

@@ -14,6 +14,36 @@ def test_roundtrip_lossless():
     assert to_text(from_text(to_text(cfg))) == to_text(cfg)
 
 
+def test_default_file_text_is_pinned():
+    # the keys and their order in every config.txt written so far
+    assert to_text(RunConfig()) == (
+        "corpus.prepared = \n"
+        "schedule.kind = fixed\n"
+        "schedule.p = 0.15\n"
+        "schedule.T = 0\n"
+        "schedule.floor = -1.0\n"
+        "ptw.beta = 0.99\n"
+        "ptw.mu = 1.0\n"
+        "ptw.loss_mode = per-token-mean\n"
+        "ptw.snapshot_every = 10\n"
+        "mask.strategy = random\n"
+        "mask.corrupt_split = 0.8,0.1,0.1\n"
+        "model.layers = 2\n"
+        "model.hidden_dim = 128\n"
+        "model.heads = 2\n"
+        "model.ff_dim = 512\n"
+        "model.tied = true\n"
+        "lr.base = 0.001\n"
+        "lr.warmup = 100\n"
+        "lr.shape = \n"
+        "train.T = 2000\n"
+        "train.batch_size = 16\n"
+        "train.checkpoint_every = 500\n"
+        "run.seed = 1234\n"
+        "run.out = \n"
+    )
+
+
 def test_defaults_roundtrip():
     cfg = RunConfig()
     assert from_text(to_text(cfg)) == cfg
@@ -26,8 +56,9 @@ def test_parse_comments_and_blanks():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown config key"):
-        from_text("bogus.key = 1\n")
+    for line in ("bogus.key = 1\n", "model_hidden.dim = 32\n", "model.hidden.dim = 32\n"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            from_text(line)
 
 
 def test_malformed_line_rejected():
@@ -73,6 +104,9 @@ def test_validate_rejects_bad_values():
         "ptw.mu = 0\n",
         "ptw.mu = -1\n",
         "ptw.mu = 0.001\n",  # the lowest weight sigmoid(-4 / mu) underflows to 0
+        "mask.corrupt_split = 0.5,0.1,0.1\n",
+        "mask.corrupt_split = 0.9,0.2,-0.1\n",
+        "train.T = 40\nschedule.T = 20\n",
     ):
         cfg = from_text(text)
         with pytest.raises(ConfigError):

@@ -4,18 +4,18 @@ import pickle
 import numpy as np
 import pytest
 
+from tvmask.config import RunConfig
 from tvmask.corpus.packing import pack_to_arrays
 from tvmask.corpus.synth import generate_sentences
 from tvmask.corpus.tokenizer import tokenize_aligned
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import ModelConfig, backward_masked, forward_masked, softmax_xent
-from tvmask.postags import pos_id
+from tvmask.postags import N_CATEGORIES, pos_id
 from tvmask.schedule import ScheduleKind, ScheduleSpec
 from tvmask.trainer import (
     ListSink,
     TrainAbort,
-    TrainSettings,
     eval_mlm,
     fresh_state,
     load_checkpoint,
@@ -44,12 +44,12 @@ def micro_cfg(vocab):
 def run_micro(micro_data, T=40, strategy="random", kind=ScheduleKind.FIXED, seed=5,
               state=None, checkpoint_dir=None, **overrides):
     tokens, pos, special, vocab = micro_data
-    spec = ScheduleSpec(kind, p=0.15, T=T)
-    overrides.setdefault("warmup", 10)
-    settings = TrainSettings(T=T, batch_size=4, seed=seed, **overrides)
+    overrides.setdefault("lr_warmup", 10)
+    overrides.setdefault("train_checkpoint_every", 0)
+    cfg = RunConfig(schedule_kind=kind.value, schedule_p=0.15, mask_strategy=strategy,
+                    train_T=T, train_batch_size=4, run_seed=seed, **overrides)
     sink = ListSink()
-    final = train(micro_cfg(vocab), tokens, pos, special, vocab, spec,
-                  MaskPolicy(strategy=strategy), settings, sink=sink,
+    final = train(cfg, micro_cfg(vocab), tokens, pos, special, vocab, sink=sink,
                   state=state, checkpoint_dir=checkpoint_dir)
     return final, sink
 
@@ -77,11 +77,9 @@ def test_lr_shapes_after_warmup():
 
 def test_zero_steps_returns_initial_state(micro_data):
     tokens, pos, special, vocab = micro_data
-    settings = TrainSettings(T=0, batch_size=4, seed=1)
+    cfg = RunConfig(schedule_T=1, train_T=0, train_batch_size=4, run_seed=1)
     sink = ListSink()
-    state = train(micro_cfg(vocab), tokens, pos, special, vocab,
-                  ScheduleSpec(ScheduleKind.FIXED, p=0.15, T=1),
-                  MaskPolicy(), settings, sink=sink)
+    state = train(cfg, micro_cfg(vocab), tokens, pos, special, vocab, sink=sink)
     assert state.step == 0
     assert sink.metrics == []
 
@@ -104,13 +102,13 @@ def test_metrics_record_schedule_ratio(micro_data):
 
 def test_metrics_record_pre_clip_grad_norm(micro_data):
     tokens, pos, special, vocab = micro_data
-    _, sink = run_micro(micro_data, T=12, base_lr=3e-2)
+    _, sink = run_micro(micro_data, T=12, lr_base=3e-2)
     norms = [row["grad_norm"] for row in sink.metrics]
     assert all(math.isfinite(n) and n > 0 for n in norms)
 
     # step 0 from scratch: the same batch through the same initial weights
     cfg = micro_cfg(vocab)
-    state = fresh_state(cfg, TrainSettings(T=12, seed=5))
+    state = fresh_state(cfg, RunConfig(run_seed=5))
     rows, corrupted, mrows, mcols, labels, _ = make_batch(
         tokens, pos, special, vocab, 0.15, MaskPolicy(), None, 5, 0, 4)
     logits, cache = forward_masked(state.params, cfg, corrupted,
@@ -122,7 +120,7 @@ def test_metrics_record_pre_clip_grad_norm(micro_data):
 
 
 def test_snapshot_cadence(micro_data):
-    _, sink = run_micro(micro_data, T=25, snapshot_every=10)
+    _, sink = run_micro(micro_data, T=25, ptw_snapshot_every=10)
     steps = sorted({row["step"] for row in sink.snapshots})
     assert steps == [0, 10, 20, 25]  # every 10 plus the final state
     step0 = [r for r in sink.snapshots if r["step"] == 0]
@@ -148,14 +146,16 @@ def test_checkpoint_resume_identical(micro_data, tmp_path):
 
 
 def test_checkpoint_with_older_keys_resumes(micro_data, tmp_path):
-    # checkpoints from before the optimizer constants and the run seed were
-    # dropped from the file carry extra keys; the reader ignores them
+    # checkpoints from before the optimizer constants, the run seed and the
+    # tracker's category count were dropped from the file carry extra keys;
+    # the reader ignores them
     full_state, full_sink = run_micro(micro_data, T=30)
     half_state, _ = run_micro(micro_data, T=15)
     path = tmp_path / "step_00000015.ckpt"
     save_checkpoint(str(path), half_state, micro_cfg(micro_data[3]))
     blob = pickle.loads(path.read_bytes())
     blob["run_seed"] = 5
+    blob["tracker"]["n_categories"] = N_CATEGORIES
     blob["opt"].update(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
     path.write_bytes(pickle.dumps(blob))
     loaded, _, _ = load_checkpoint(str(path))
@@ -168,12 +168,12 @@ def test_checkpoint_with_older_keys_resumes(micro_data, tmp_path):
 def test_nan_loss_aborts_with_step(micro_data):
     # the huge lr is meant to overflow; silence numpy's complaints about it
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainAbort) as info:
-        run_micro(micro_data, T=60, base_lr=1e6, warmup=1)
+        run_micro(micro_data, T=60, lr_base=1e6, lr_warmup=1)
     assert 0 <= info.value.step < 60
 
 
 def test_ptw_weights_follow_cum_losses(micro_data):
-    state, sink = run_micro(micro_data, T=60, strategy="ptw", snapshot_every=20)
+    state, sink = run_micro(micro_data, T=60, strategy="ptw", ptw_snapshot_every=20)
     by_step = {}
     for row in sink.snapshots:
         by_step.setdefault(row["step"], []).append(row)
@@ -188,7 +188,7 @@ def test_ptw_weights_follow_cum_losses(micro_data):
 
 
 def test_loss_decreases_on_micro_run(micro_data):
-    _, sink = run_micro(micro_data, T=300, base_lr=3e-3)
+    _, sink = run_micro(micro_data, T=300, lr_base=3e-3)
     first = np.mean([r["loss"] for r in sink.metrics[:30]])
     last = np.mean([r["loss"] for r in sink.metrics[-30:]])
     assert last < first
@@ -199,7 +199,7 @@ def test_loss_decreases_on_micro_run(micro_data):
 def test_eval_deterministic_and_untrained_near_lnV(micro_data):
     tokens, pos, special, vocab = micro_data
     cfg = micro_cfg(vocab)
-    state = fresh_state(cfg, TrainSettings(T=0, seed=3))
+    state = fresh_state(cfg, RunConfig(run_seed=3))
     r1 = eval_mlm(state.params, cfg, tokens[:40], pos[:40], special[:40], vocab, seed=7)
     r2 = eval_mlm(state.params, cfg, tokens[:40], pos[:40], special[:40], vocab, seed=7)
     assert r1 == r2
@@ -213,7 +213,7 @@ def test_eval_deterministic_and_untrained_near_lnV(micro_data):
 def test_eval_respects_ratio_and_seed(micro_data):
     tokens, pos, special, vocab = micro_data
     cfg = micro_cfg(vocab)
-    state = fresh_state(cfg, TrainSettings(T=0, seed=3))
+    state = fresh_state(cfg, RunConfig(run_seed=3))
     a = eval_mlm(state.params, cfg, tokens[:20], pos[:20], special[:20], vocab, seed=1)
     b = eval_mlm(state.params, cfg, tokens[:20], pos[:20], special[:20], vocab, seed=2)
     assert a["n_masked"] == b["n_masked"]  # same ratio, same sequences
@@ -223,7 +223,7 @@ def test_eval_respects_ratio_and_seed(micro_data):
 def test_eval_independent_of_batch_size(micro_data):
     tokens, pos, special, vocab = micro_data
     cfg = micro_cfg(vocab)
-    state = fresh_state(cfg, TrainSettings(T=0, seed=3))
+    state = fresh_state(cfg, RunConfig(run_seed=3))
     reports = [eval_mlm(state.params, cfg, tokens[:40], pos[:40], special[:40], vocab,
                         seed=4, batch_size=bs) for bs in (1, 7, 32)]
     assert reports[0] == reports[1] == reports[2]
