@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime abort.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -26,7 +27,7 @@ from tvmask.corpus.tokenizer import tokenize_aligned
 from tvmask.corpus.vocab import Vocabulary, build_vocab
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.postags import UPOS_TAGS
-from tvmask.schedule import ScheduleKind, ScheduleSpec, ratio_at, schedule_rows
+from tvmask.schedule import ScheduleKind, ScheduleSpec, schedule_rows
 from tvmask import trainer as trainer_mod
 from tvmask.trainer import TrainAbort, eval_mlm, load_checkpoint, train
 
@@ -183,22 +184,45 @@ def _check_same_run(cfg: RunConfig, run_dir) -> None:
 
 
 def _acquire_lock(run_dir):
+    """Create the run's lock file holding this process's pid. A lock whose
+    pid no longer exists was left by a killed run and is reclaimed once."""
     lock_path = os.path.join(run_dir, "lock")
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise CliError(f"run directory {run_dir} is locked by another process") from None
+    for attempt in range(2):
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _lock_is_stale(lock_path):
+                raise CliError(f"run directory {run_dir} is locked by another process "
+                               f"(lock file {lock_path})") from None
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(lock_path)
     os.write(fd, str(os.getpid()).encode())
     os.close(fd)
     return lock_path
 
 
+def _lock_is_stale(lock_path) -> bool:
+    """True only when the lock names a pid that no process has."""
+    try:
+        with open(lock_path, encoding="utf-8") as f:
+            pid = int(f.read())
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):  # unreadable, or another user's live pid
+        pass
+    return False
+
+
 def cmd_train(args) -> int:
     try:
-        cfg = cfgmod.load(args.config)
+        with open(args.config, encoding="utf-8") as f:
+            cfg = cfgmod.from_text(f.read())
     except FileNotFoundError:
         raise CliError(f"config file not found: {args.config}") from None
-    # command-line overrides: paths, seed and T only
+    # command-line overrides: paths, seed and T only; validated with the file below
     if args.corpus:
         cfg.corpus_prepared = args.corpus
     if args.out:
@@ -207,11 +231,8 @@ def cmd_train(args) -> int:
         cfg.run_seed = args.seed
     if args.steps is not None:
         cfg.train_T = args.steps
-    cfg = cfg.resolved()
     cfg.validate()
-    if ratio_at(cfg.schedule_spec(), 0) == 0.0:
-        raise CliError(f"schedule.kind = {cfg.schedule_kind} masks no token at step 0 with "
-                       f"schedule.floor = {cfg.schedule_floor}; set schedule.floor > 0")
+    cfg = cfg.resolved()
     run_dir = cfg.run_out
     if not run_dir:
         raise CliError("no output directory (set run.out or pass --out)")
@@ -219,9 +240,10 @@ def cmd_train(args) -> int:
     resume_step = None
     if os.path.exists(os.path.join(run_dir, "config.txt")):
         if args.resume:
-            resume_step = _latest_checkpoint_step(run_dir)
-            if resume_step is None:
+            steps = _all_checkpoint_steps(run_dir)
+            if not steps:
                 raise CliError(f"{run_dir} has no checkpoint to resume from")
+            resume_step = steps[-1]
             _check_same_run(cfg, run_dir)
         elif not args.force:
             raise CliError(f"{run_dir} already contains a run (use --force or --resume)")
@@ -262,11 +284,6 @@ def cmd_train(args) -> int:
         os.unlink(lock)
     print(f"run complete: {run_dir} ({cfg.train_T} steps)")
     return EXIT_OK
-
-
-def _latest_checkpoint_step(run_dir) -> int | None:
-    steps = _all_checkpoint_steps(run_dir)
-    return steps[-1] if steps else None
 
 
 # ---------------------------------------------------------------- export
@@ -317,21 +334,16 @@ def cmd_eval(args) -> int:
     cfg_path = os.path.join(run_dir, "config.txt")
     if not os.path.exists(cfg_path):
         raise CliError(f"not a run directory (no config.txt): {run_dir}")
-    cfg = cfgmod.load(cfg_path)
-    prepared = cfg.corpus_prepared
-    vocab = Vocabulary.load(os.path.join(prepared, "vocab.txt"))
-    _, _, _, meta = load_packed(prepared)
+    _, _, _, vocab, meta, _ = _build_run_pieces(cfgmod.load(cfg_path))
 
     sentences = list(load_tagged_corpus(args.heldout))
     fragments = (tokenize_aligned(s, vocab) for s in sentences)
     tokens, pos_ids, special = pack_to_arrays(fragments, int(meta["L_seq"]), vocab)
 
-    if args.checkpoint == "all":
-        steps = _all_checkpoint_steps(run_dir)
-    elif args.checkpoint == "latest":
-        latest = _latest_checkpoint_step(run_dir)
-        steps = [latest] if latest is not None else []
-    else:
+    steps = _all_checkpoint_steps(run_dir)
+    if args.checkpoint == "latest":
+        steps = steps[-1:]
+    elif args.checkpoint != "all":
         steps = [int(args.checkpoint)]
     if not steps:
         raise CliError(f"no checkpoints found in {run_dir}")
@@ -376,13 +388,12 @@ def _all_checkpoint_steps(run_dir) -> list[int]:
 def cmd_mask_debug(args) -> int:
     tokens, pos_ids, special, meta = load_packed(args.prepared)
     vocab = Vocabulary.load(os.path.join(args.prepared, "vocab.txt"))
-    policy = MaskPolicy(strategy=args.strategy)
-    weights = None
-    if args.strategy == "ptw":
-        weights = np.full(len(UPOS_TAGS), 0.5)
     rows = [int(r) for r in args.rows.split(",")]
-    plan = build_batch(tokens[rows], pos_ids[rows], special[rows], args.ratio, policy, vocab,
-                       np.random.default_rng(args.seed), weights_by_category=weights)
+    # uniform category weights; the random strategy ignores them
+    plan = build_batch(tokens[rows], pos_ids[rows], special[rows], args.ratio,
+                       MaskPolicy(strategy=args.strategy), vocab,
+                       np.random.default_rng(args.seed),
+                       weights_by_category=np.full(len(UPOS_TAGS), 0.5))
     plans = []
     for j, row in enumerate(rows):
         mine = plan.rows == j

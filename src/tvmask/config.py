@@ -7,16 +7,12 @@ regenerated from (inputs, config, seed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from tvmask.masking import MaskPolicy
-from tvmask.model.net import ModelConfig
-from tvmask.postags import N_CATEGORIES
-from tvmask.schedule import ScheduleKind, ScheduleSpec, default_floor
-from tvmask.tracker import sigmoid
+from tvmask.model.net import LOSS_MODES, ModelConfig
+from tvmask.schedule import ScheduleKind, ScheduleSpec, default_floor, ratio_at
+from tvmask.tracker import CategoryLossTracker
 
 
 class ConfigError(ValueError):
@@ -81,32 +77,33 @@ class RunConfig:
                            vocab_size=vocab_size, L_seq=L_seq, tied=self.model_tied)
 
     def validate(self) -> None:
-        if self.schedule_kind not in {k.value for k in ScheduleKind}:
-            raise ConfigError(f"unknown schedule.kind {self.schedule_kind!r}")
-        if self.lr_shape and self.lr_shape not in {k.value for k in ScheduleKind}:
-            raise ConfigError(f"unknown lr.shape {self.lr_shape!r}")
-        if self.ptw_loss_mode not in ("per-token-mean", "batch-share"):
+        """Build the library objects this config describes; each one's own
+        checks are the rules, reported as a ConfigError naming the keys."""
+        _build("schedule.kind", ScheduleKind, self.schedule_kind)
+        _build("lr.shape", ScheduleKind, self.lr_shape or self.schedule_kind)
+        if self.ptw_loss_mode not in LOSS_MODES:
             raise ConfigError(f"unknown ptw.loss_mode {self.ptw_loss_mode!r}")
         if len(self.mask_corrupt_split) != 3:
             raise ConfigError("mask.corrupt_split needs three comma-separated fractions")
-        try:
-            self.mask_policy()
-        except ValueError as err:
-            raise ConfigError(f"mask.strategy / mask.corrupt_split: {err}") from None
+        _build("mask.strategy / mask.corrupt_split", self.mask_policy)
+        _build("ptw.beta / ptw.mu", CategoryLossTracker, self.ptw_beta, self.ptw_mu)
         if self.train_T < 0 or self.train_batch_size < 1:
             raise ConfigError("train.T must be >= 0 and train.batch_size >= 1")
         if 0 < self.schedule_T < self.train_T:
             raise ConfigError(f"schedule.T = {self.schedule_T} ends before train.T = "
                               f"{self.train_T}; set schedule.T >= train.T or 0")
-        if not 0.0 < self.ptw_beta < 1.0:
-            raise ConfigError(f"ptw.beta must be in (0, 1), got {self.ptw_beta}")
-        if not self.ptw_mu > 0.0:
-            raise ConfigError(f"ptw.mu must be > 0, got {self.ptw_mu}")
-        # population z-scores of the categories satisfy |z| <= sqrt(N - 1); the
-        # lowest possible weight must not underflow to 0, or its positions
-        # become unmaskable mid-run
-        if sigmoid(np.array([-math.sqrt(N_CATEGORIES - 1) / self.ptw_mu]))[0] == 0.0:
-            raise ConfigError(f"ptw.mu = {self.ptw_mu} underflows the lowest masking weight to 0")
+        spec = _build("schedule.p / schedule.T / schedule.floor", self.resolved().schedule_spec)
+        if ratio_at(spec, 0) == 0.0:
+            raise ConfigError(f"schedule.kind = {self.schedule_kind} masks no token at step 0 "
+                              f"with schedule.floor = {spec.floor}; set schedule.floor > 0")
+
+
+def _build(keys: str, make, *args):
+    """make(*args), its ValueError reported as a ConfigError naming the config keys."""
+    try:
+        return make(*args)
+    except ValueError as err:
+        raise ConfigError(f"{keys}: {err}") from None
 
 
 def _key(name: str) -> str:

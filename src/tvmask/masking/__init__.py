@@ -4,13 +4,8 @@ from tvmask.masking.plan import (
     ACTION_NAMES,
     ACTION_RANDOM,
     BatchPlan,
-    MaskPlan,
     MaskPolicy,
     build_batch,
-    build_plan,
-    corrupt,
-    select_ptw,
-    select_random,
     target_count,
 )
 
@@ -20,12 +15,7 @@ __all__ = [
     "ACTION_KEEP",
     "ACTION_NAMES",
     "BatchPlan",
-    "MaskPlan",
     "MaskPolicy",
     "target_count",
-    "select_random",
-    "select_ptw",
-    "corrupt",
-    "build_plan",
     "build_batch",
 ]

@@ -5,9 +5,8 @@ is corrupted on the input side: replaced by the mask token, replaced by
 a random non-reserved token, or kept as-is (all three still contribute
 to the loss). Special positions ([CLS]/[SEP]/[PAD]) are never selected.
 
-``build_batch`` is the one implementation; ``select_random``,
-``select_ptw``, ``corrupt`` and ``build_plan`` are its single-sequence
-views.
+``build_batch`` is the one entry point; a single sequence is a batch of
+one row.
 """
 
 from __future__ import annotations
@@ -58,16 +57,6 @@ class BatchPlan:
     cols: np.ndarray           # int64 column of each masked position
     actions: np.ndarray        # uint8, aligned with rows/cols
     corrupted_ids: np.ndarray  # [B, L] ids after corruption
-    labels: np.ndarray         # original ids at the masked positions
-
-
-@dataclass
-class MaskPlan:
-    """One sequence's masked index set, actions, corrupted ids and labels."""
-
-    indices: np.ndarray        # sorted positions, int64
-    actions: np.ndarray        # uint8, aligned with indices
-    corrupted_ids: np.ndarray  # full sequence after corruption
     labels: np.ndarray         # original ids at the masked positions
 
 
@@ -128,45 +117,3 @@ def _corrupt(token_ids, special, selected, policy: MaskPolicy, vocab, rng) -> Ba
     corrupted[rows[is_random], cols[is_random]] = random_ids[is_random]
     return BatchPlan(rows=rows, cols=cols, actions=actions, corrupted_ids=corrupted,
                      labels=original[rows, cols])
-
-
-def _select_one(seq, count: int, rng, weights_by_category=None) -> np.ndarray:
-    weights = _position_weights(seq.pos_ids[None], seq.special_mask[None], weights_by_category)
-    return np.flatnonzero(kernels.sample_weighted(weights, [count], rng)[0])
-
-
-def select_random(seq, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample without replacement over non-special positions."""
-    return _select_one(seq, count, rng)
-
-
-def select_ptw(seq, count: int, weights_by_category: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-    """Weighted sample without replacement: position i is drawn with
-    probability proportional to the weight of its POS category among the
-    positions still available (successive proportional draws)."""
-    return _select_one(seq, count, rng, weights_by_category)
-
-
-def corrupt(seq, indices: np.ndarray, policy: MaskPolicy, vocab,
-            rng: np.random.Generator) -> MaskPlan:
-    """Corrupt one sequence at the given distinct positions.
-
-    ``vocab`` supplies mask_id, n_reserved and size.
-    """
-    selected = np.zeros((1, len(seq.token_ids)), dtype=bool)
-    selected[0, np.asarray(indices, dtype=np.int64)] = True
-    return _one_row(_corrupt(seq.token_ids[None], seq.special_mask[None], selected,
-                             policy, vocab, rng))
-
-
-def build_plan(seq, ratio: float, policy: MaskPolicy, vocab,
-               rng: np.random.Generator, weights_by_category=None) -> MaskPlan:
-    """One sequence's plan: ``build_batch`` on a single row."""
-    return _one_row(build_batch(seq.token_ids[None], seq.pos_ids[None], seq.special_mask[None],
-                                ratio, policy, vocab, rng, weights_by_category))
-
-
-def _one_row(plan: BatchPlan) -> MaskPlan:
-    return MaskPlan(indices=plan.cols, actions=plan.actions,
-                    corrupted_ids=plan.corrupted_ids[0], labels=plan.labels)

@@ -1,6 +1,5 @@
 from tvmask.model.net import ModelConfig, forward_masked, backward_masked, init_params, per_category_losses
 from tvmask.model.optim import AdamW, clip_global_norm
-from tvmask.model.gradcheck import grad_check
 
 __all__ = [
     "ModelConfig",
@@ -10,5 +9,4 @@ __all__ = [
     "per_category_losses",
     "AdamW",
     "clip_global_norm",
-    "grad_check",
 ]

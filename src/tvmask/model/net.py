@@ -17,6 +17,7 @@ from tvmask.postags import N_CATEGORIES
 
 LN_EPS = 1e-5
 ATTN_NEG = -1e9  # additive bias that zeroes attention to padding
+LOSS_MODES = ("per-token-mean", "batch-share")  # see per_category_losses
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
@@ -368,16 +369,14 @@ def per_category_losses(nll, pos_ids, mode="per-token-mean"):
     batch-share: category's summed loss over the total masked count, so
     the vector sums exactly to the batch mean loss.
     """
-    if mode not in ("per-token-mean", "batch-share"):
+    if mode not in LOSS_MODES:
         raise ValueError(f"unknown loss mode {mode!r}")
     out = np.full(N_CATEGORIES, np.nan)
     total = nll.shape[0]
     if total == 0:
         raise ValueError("no masked tokens to aggregate")
-    sums = np.zeros(N_CATEGORIES)
-    counts = np.zeros(N_CATEGORIES, dtype=np.int64)
-    np.add.at(sums, pos_ids, nll)
-    np.add.at(counts, pos_ids, 1)
+    sums = np.bincount(pos_ids, weights=nll, minlength=N_CATEGORIES)
+    counts = np.bincount(pos_ids, minlength=N_CATEGORIES)
     present = counts > 0
     if mode == "per-token-mean":
         out[present] = sums[present] / counts[present]

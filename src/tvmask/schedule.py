@@ -28,11 +28,6 @@ class ScheduleKind(enum.Enum):
     ASCEND_THEN_DECAY = "ascend_then_decay"
 
 
-DECAY_KINDS = frozenset(
-    {ScheduleKind.LINEAR, ScheduleKind.COSINE, ScheduleKind.QUAD_CONCAVE, ScheduleKind.QUAD_CONVEX}
-)
-
-
 def default_floor(kind: ScheduleKind) -> float:
     """Cosine keeps a 0.02 floor so late-stage batches still carry masked tokens."""
     return 0.02 if kind is ScheduleKind.COSINE else 0.0

@@ -14,19 +14,13 @@ masked more often.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
 
 import numpy as np
 
 from tvmask.postags import N_CATEGORIES
 
 VAR_EPS = 1e-12  # below this the losses are treated as all-equal
-
-
-class TrackerSnapshot(NamedTuple):
-    step: int
-    cum_loss: np.ndarray
-    weights: np.ndarray
 
 
 class CategoryLossTracker:
@@ -37,10 +31,14 @@ class CategoryLossTracker:
             raise ValueError(f"beta must be in (0, 1), got {beta}")
         if mu <= 0.0:
             raise ValueError(f"mu must be > 0, got {mu}")
+        # population z-scores of the categories satisfy |z| <= sqrt(N - 1); the
+        # lowest possible weight must not underflow to 0, or its positions
+        # become unmaskable mid-run
+        if sigmoid(np.array([-math.sqrt(N_CATEGORIES - 1) / mu]))[0] == 0.0:
+            raise ValueError(f"mu = {mu} underflows the lowest masking weight to 0")
         self.beta = beta
         self.mu = mu
         self.cum_loss = np.zeros(N_CATEGORIES, dtype=np.float64)
-        self.step = 0
 
     def update(self, batch_losses: np.ndarray) -> None:
         """Fold one batch's per-category losses into the EMA.
@@ -57,30 +55,18 @@ class CategoryLossTracker:
         self.cum_loss[present] = (
             self.beta * self.cum_loss[present] + (1.0 - self.beta) * losses[present]
         )
-        self.step += 1
 
     def weights(self) -> np.ndarray:
         """Masking-weight vector in (0, 1); uniform 0.5 when losses carry no spread."""
         return weights_from_losses(self.cum_loss, self.mu)
 
-    def snapshot(self) -> TrackerSnapshot:
-        """Consistent (step, losses, weights) copy; does not mutate state."""
-        cum = self.cum_loss.copy()
-        return TrackerSnapshot(self.step, cum, weights_from_losses(cum, self.mu))
-
     def state_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "mu": self.mu,
-            "cum_loss": self.cum_loss.copy(),
-            "step": self.step,
-        }
+        return {"beta": self.beta, "mu": self.mu, "cum_loss": self.cum_loss.copy()}
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "CategoryLossTracker":
         tracker = cls(beta=state["beta"], mu=state["mu"])
         tracker.cum_loss[:] = state["cum_loss"]
-        tracker.step = int(state["step"])
         return tracker
 
 

@@ -79,10 +79,10 @@ def fresh_state(model_cfg: ModelConfig, cfg: RunConfig) -> TrainState:
 
 
 def _snapshot_rows(tracker: CategoryLossTracker, step: int) -> list[dict]:
-    snap = tracker.snapshot()
+    weights = tracker.weights()
     return [
         {"step": step, "category_name": UPOS_TAGS[k],
-         "cum_loss": float(snap.cum_loss[k]), "weight": float(snap.weights[k])}
+         "cum_loss": float(tracker.cum_loss[k]), "weight": float(weights[k])}
         for k in range(len(UPOS_TAGS))
     ]
 
@@ -209,8 +209,11 @@ def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
     a stream derived from ``seed``, so repeated calls give identical
     numbers whatever the ``batch_size`` of the forward passes. Reports mean
     token loss per category plus the function / non-function / other
-    group means (means over each group's present categories).
+    group means (means over each group's present categories). The ratio
+    must lie in (0, 1).
     """
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"eval ratio must be in (0, 1), got {ratio}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_EVAL]))
     plan = build_batch(tokens, pos_ids, special, ratio, MaskPolicy(), vocab, rng)
     pad_mask = tokens == vocab.pad_id
@@ -223,17 +226,14 @@ def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
                                    plan.cols[lo:hi])
         nll.append(nll_from_logits(logits, plan.labels[lo:hi]))
     nll = np.concatenate(nll)
-    mpos = pos_ids[plan.rows, plan.cols]
-    sums = np.bincount(mpos, weights=nll, minlength=len(UPOS_TAGS))
-    counts = np.bincount(mpos, minlength=len(UPOS_TAGS))
+    means = per_category_losses(nll, pos_ids[plan.rows, plan.cols])
+    present = ~np.isnan(means)
 
-    per_category = {
-        UPOS_TAGS[k]: (sums[k] / counts[k] if counts[k] else None)
-        for k in range(len(UPOS_TAGS))
-    }
+    per_category = {UPOS_TAGS[k]: (means[k] if present[k] else None)
+                    for k in range(len(UPOS_TAGS))}
     groups = {}
     for gname, ids in GROUPS.items():
-        vals = [sums[k] / counts[k] for k in ids if counts[k]]
+        vals = [means[k] for k in ids if present[k]]
         groups[gname] = float(np.mean(vals)) if vals else None
     return {
         "overall": float(nll.sum()) / nll.size,

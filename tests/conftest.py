@@ -3,6 +3,7 @@ import pytest
 
 from tvmask.corpus.packing import TaggedSequence
 from tvmask.corpus.vocab import RESERVED_TOKENS, Vocabulary
+from tvmask.masking import MaskPolicy, build_batch, target_count
 
 
 @pytest.fixture
@@ -27,3 +28,16 @@ def make_sequence(n=10, n_special_tail=2, pos_pattern=None, vocab_size=20):
         pos_pattern = [0]
     pos = np.array([pos_pattern[i % len(pos_pattern)] for i in range(n)], dtype=np.int8)
     return TaggedSequence(token_ids, pos, special)
+
+
+def plan_one(seq, count, vocab, rng, policy=None, weights_by_category=None):
+    """build_batch on the one sequence ``seq``, at the ratio that masks
+    exactly ``count`` of its maskable positions. The policy defaults to
+    ptw when category weights are given, else to random."""
+    m = seq.n_maskable
+    ratio = max(count - 0.25, 0.0) / m
+    assert target_count(ratio, m) == count
+    if policy is None:
+        policy = MaskPolicy(strategy="random" if weights_by_category is None else "ptw")
+    return build_batch(seq.token_ids[None], seq.pos_ids[None], seq.special_mask[None], ratio,
+                       policy, vocab, rng, weights_by_category)

@@ -18,15 +18,15 @@ from tvmask.corpus.packing import pack_to_arrays
 from tvmask.corpus.synth import generate_sentences
 from tvmask.corpus.tokenizer import tokenize_aligned
 from tvmask.corpus.vocab import build_vocab
-from tvmask.masking import MaskPolicy, corrupt, select_ptw, select_random
-from tvmask.model.gradcheck import TINY_CONFIG, grad_check
+from tvmask.masking import MaskPolicy
 from tvmask.model.net import ModelConfig
 from tvmask.postags import FUNCTION_IDS, NON_FUNCTION_IDS, UPOS_TAGS, pos_id
 from tvmask.schedule import ScheduleKind, ScheduleSpec, expected_mass, ratio_at
 from tvmask.tracker import CategoryLossTracker, weights_from_losses
 from tvmask.trainer import ListSink, eval_mlm, load_checkpoint, save_checkpoint, train
 
-from conftest import make_sequence
+from conftest import make_sequence, plan_one
+from gradcheck import TINY_CONFIG, grad_check
 from test_masker import assert_inclusion_frequencies, enumerate_orders, inclusion_from_orders
 
 
@@ -174,7 +174,7 @@ def test_criterion_04_weight_vector_properties():
             assert np.all((w > 0.0) & (w < 1.0))
 
 
-def test_criterion_05_ptw_random_reduction():
+def test_criterion_05_ptw_random_reduction(letters_vocab):
     with criterion(5, "uniform-weight ptw inclusion equals uniform sampling (full enumeration)"):
         checked_cases = 0
         for n in range(4, 13):
@@ -193,7 +193,8 @@ def test_criterion_05_ptw_random_reduction():
                 assert_inclusion_frequencies(weights_full, count, inclusion, seed=n * 100 + count)
                 checked_cases += 1
             # exhaustive draw needs no enumeration: every position must appear
-            got = select_ptw(seq, m, np.full(17, 0.5), np.random.default_rng(n))
+            got = plan_one(seq, m, letters_vocab, np.random.default_rng(n),
+                           weights_by_category=np.full(17, 0.5)).cols
             np.testing.assert_array_equal(got, np.nonzero(~seq.special_mask)[0])
         assert checked_cases > 30
 
@@ -208,7 +209,8 @@ def test_criterion_06_sampling_frequencies(letters_vocab):
         hits = 0
         special_hits = 0
         for i in range(trials):
-            picked = select_ptw(seq, 1, weights_by_cat, np.random.default_rng(sub[i]))
+            picked = plan_one(seq, 1, letters_vocab, np.random.default_rng(sub[i]),
+                              weights_by_category=weights_by_cat).cols
             hits += int(picked[0] == 1)
             special_hits += int(seq.special_mask[picked[0]])
         p = 0.7729 / (0.7729 + 0.2271)
@@ -218,13 +220,12 @@ def test_criterion_06_sampling_frequencies(letters_vocab):
 
         # corrupt split proportions within +/- 1% over 1e5 selections
         big = make_sequence(n=104, n_special_tail=2, vocab_size=letters_vocab.size)
-        indices = np.arange(1, 101)
         policy = MaskPolicy(strategy="random")
         counts = np.zeros(3)
         for i in range(1000):
-            plan = corrupt(big, indices, policy, letters_vocab, np.random.default_rng(i))
+            plan = plan_one(big, 100, letters_vocab, np.random.default_rng(i), policy)
             counts += np.bincount(plan.actions, minlength=3)
-            assert not np.any(big.special_mask[plan.indices])
+            assert not np.any(big.special_mask[plan.cols])
         fracs = counts / counts.sum()
         np.testing.assert_allclose(fracs, [0.8, 0.1, 0.1], atol=0.01)
 
@@ -233,7 +234,7 @@ def test_criterion_06_sampling_frequencies(letters_vocab):
         tally = np.zeros(12)
         sub = np.random.SeedSequence(901).spawn(trials)
         for i in range(trials):
-            tally[select_random(seq10, 1, np.random.default_rng(sub[i]))[0]] += 1
+            tally[plan_one(seq10, 1, letters_vocab, np.random.default_rng(sub[i])).cols[0]] += 1
         freqs = tally[~seq10.special_mask] / trials
         sigma10 = math.sqrt(0.1 * 0.9 / trials)
         assert np.all(np.abs(freqs - 0.1) <= 3 * sigma10)

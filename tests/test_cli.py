@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -198,12 +201,34 @@ def test_train_resume_refuses_changed_config(workdir, tmp_path, capsys):
                      "--corpus", str(workdir / "prep") + os.sep]) == 0, i
 
 
-def test_train_lock_refuses_concurrent(workdir, tmp_path):
+def test_train_lock_refuses_concurrent(workdir, tmp_path, capsys):
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
     out = tmp_path / "run"
     out.mkdir()
-    (out / "lock").write_text("123")
-    assert main(["train", cfg, "--out", str(out)]) == 1
+    # a live pid (this test's own) and an unreadable lock both hold the run
+    for holder in (str(os.getpid()), "not a pid", "99999999999999999999"):
+        (out / "lock").write_text(holder)
+        assert main(["train", cfg, "--out", str(out)]) == 1, holder
+        assert str(out / "lock") in capsys.readouterr().err, holder
+
+
+def test_train_resume_reclaims_stale_lock(workdir, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    r1, r2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["train", cfg, "--out", str(r1)]) == 0
+    assert main(["train", cfg, "--out", str(r2)]) == 0
+    # a run killed after its step-12 checkpoint leaves its lock behind
+    os.remove(r2 / "checkpoints" / "step_00000024.ckpt")
+    (r2 / "lock").write_text(str(os.getpid()))
+    assert main(["train", cfg, "--out", str(r2), "--resume"]) == 1  # the holder is alive
+    assert "locked by another process" in capsys.readouterr().err
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (r2 / "lock").write_text(str(child.pid))  # the holder has exited
+    assert main(["train", cfg, "--out", str(r2), "--resume"]) == 0
+    assert not (r2 / "lock").exists()
+    for name in ("metrics.jsonl", "snapshots.jsonl"):
+        assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
 
 
 def test_train_determinism_and_resume(workdir, tmp_path):
@@ -306,6 +331,11 @@ def test_train_cli_overrides(workdir, tmp_path):
     assert "run.seed = 77" in saved
     rows = (tmp_path / "r" / "metrics.jsonl").read_text().splitlines()
     assert len(rows) == 10
+    # the file is checked with the overrides applied, so --steps can set a T
+    # that the file's own train.T would not fit
+    for i, kv in enumerate([{"train.T": 0}, {"train.T": 40, "schedule.T": 20}]):
+        cfg = write_cfg(tmp_path / f"o{i}.cfg", micro_config(workdir, **kv))
+        assert main(["train", cfg, "--out", str(tmp_path / f"o{i}"), "--steps", "12"]) == 0, kv
 
 
 def test_train_bad_config_exit_code(workdir, tmp_path, capsys):
@@ -428,11 +458,33 @@ def test_eval_vocab_mismatch_rejected(workdir, trained_run, tmp_path, capsys):
     run2 = tmp_path / "run2"
     run2.mkdir()
     (run2 / "config.txt").write_text(hacked)
-    import shutil
     shutil.copytree(trained_run / "checkpoints", run2 / "checkpoints")
     assert main(["eval", "--run", str(run2), "--heldout", str(workdir / "heldout.txt"),
                  "--checkpoint", "0"]) == 1
     assert "vocabulary" in capsys.readouterr().err
+
+
+def test_eval_moved_corpus_names_the_key(workdir, trained_run, tmp_path, capsys):
+    moved = tmp_path / "moved"
+    run2 = tmp_path / "run2"
+    run2.mkdir()
+    cfg_text = (trained_run / "config.txt").read_text()
+    (run2 / "config.txt").write_text(cfg_text.replace(str(workdir / "prep"), str(moved)))
+    shutil.copytree(trained_run / "checkpoints", run2 / "checkpoints")
+    assert main(["eval", "--run", str(run2), "--heldout", str(workdir / "heldout.txt"),
+                 "--checkpoint", "0"]) == 1
+    assert "corpus.prepared" in capsys.readouterr().err
+    assert not (run2 / "eval_report.json").exists()
+
+
+def test_eval_ratio_outside_open_unit_interval_rejected(workdir, trained_run, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for ratio in ("0", "1", "-0.5"):
+        assert main(["eval", "--run", str(trained_run), "--heldout", str(workdir / "heldout.txt"),
+                     "--ratio", ratio, "--out", str(out)]) == 1, ratio
+        err = capsys.readouterr().err
+        assert "ratio" in err and "Traceback" not in err, ratio
+        assert not out.exists(), ratio
 
 
 # ------------------------------------------------------------ misc

@@ -107,7 +107,22 @@ def test_validate_rejects_bad_values():
         "mask.corrupt_split = 0.5,0.1,0.1\n",
         "mask.corrupt_split = 0.9,0.2,-0.1\n",
         "train.T = 40\nschedule.T = 20\n",
+        "schedule.p = 0.7\n",
+        "schedule.kind = cosine\nschedule.floor = 0.5\n",
+        "schedule.kind = ascending\n",  # ratio 0 at step 0 at the default floor
     ):
         cfg = from_text(text)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+def test_validate_error_names_the_key():
+    for text, key in (
+        ("schedule.p = 0.7\n", "schedule.p"),
+        ("schedule.kind = ascending\n", "schedule.floor"),
+        ("lr.shape = steep\n", "lr.shape"),
+        ("ptw.mu = 0.001\n", "ptw.mu"),
+        ("ptw.beta = 1.5\n", "ptw.beta"),
+    ):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            from_text(text).validate()

@@ -1,20 +1,10 @@
 import numpy as np
 import pytest
 
-from tvmask.masking import (
-    ACTION_KEEP,
-    ACTION_MASK,
-    ACTION_RANDOM,
-    MaskPolicy,
-    build_plan,
-    corrupt,
-    select_ptw,
-    select_random,
-    target_count,
-)
+from tvmask.masking import ACTION_KEEP, MaskPolicy, build_batch, target_count
 from tvmask.masking.kernels import sample_weighted
 
-from conftest import make_sequence
+from conftest import make_sequence, plan_one
 
 
 def enumerate_orders(weights, count):
@@ -81,24 +71,22 @@ def test_target_count_validation():
 
 # ------------------------------------------------------------ selection
 
-def test_select_random_exhaustive_and_empty():
+def test_select_random_exhaustive_and_empty(letters_vocab):
     seq = make_sequence(n=10, n_special_tail=2)
     rng = np.random.default_rng(0)
-    got = select_random(seq, seq.n_maskable, rng)
+    got = plan_one(seq, seq.n_maskable, letters_vocab, rng).cols
     expected = np.nonzero(~seq.special_mask)[0]
     np.testing.assert_array_equal(got, expected)
-    assert select_random(seq, 0, np.random.default_rng(0)).size == 0
-    with pytest.raises(ValueError):
-        select_random(seq, seq.n_maskable + 1, np.random.default_rng(0))
+    assert plan_one(seq, 0, letters_vocab, np.random.default_rng(0)).cols.size == 0
 
 
-def test_select_random_uniform_frequency():
+def test_select_random_uniform_frequency(letters_vocab):
     seq = make_sequence(n=12, n_special_tail=1)  # CLS + SEP special, 10 maskable
     trials = 20000
     counts = np.zeros(12)
     for i in range(trials):
         rng = np.random.default_rng(i)
-        counts[select_random(seq, 1, rng)[0]] += 1
+        counts[plan_one(seq, 1, letters_vocab, rng).cols[0]] += 1
     freqs = counts[~seq.special_mask] / trials
     sigma = np.sqrt(0.1 * 0.9 / trials)
     assert np.all(np.abs(freqs - 0.1) < 3.5 * sigma)
@@ -128,7 +116,7 @@ def test_kernel_realizes_enumerated_process():
         assert_inclusion_frequencies(weights, count, expected, seed=count)
 
 
-def test_select_ptw_weighted_frequency():
+def test_select_ptw_weighted_frequency(letters_vocab):
     seq = make_sequence(n=4, n_special_tail=1, pos_pattern=[0, 1, 0, 1])
     # maskable positions: 1 (pos cat 1) and 2 (pos cat 0)
     weights_by_cat = np.array([0.2271, 0.7729, 0.5])
@@ -136,44 +124,45 @@ def test_select_ptw_weighted_frequency():
     hits = 0
     for i in range(trials):
         rng = np.random.default_rng(i)
-        if select_ptw(seq, 1, weights_by_cat, rng)[0] == 1:
+        if plan_one(seq, 1, letters_vocab, rng, weights_by_category=weights_by_cat).cols[0] == 1:
             hits += 1
     p = 0.7729 / (0.7729 + 0.2271)
     sigma = np.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) < 3.5 * sigma
 
 
-def test_select_ptw_exhaustive_ignores_weights():
+def test_select_ptw_exhaustive_ignores_weights(letters_vocab):
     seq = make_sequence(n=8, n_special_tail=2, pos_pattern=[0, 1])
     weights = np.array([0.9, 0.1] + [0.5] * 15)
-    got = select_ptw(seq, seq.n_maskable, weights, np.random.default_rng(1))
+    got = plan_one(seq, seq.n_maskable, letters_vocab, np.random.default_rng(1),
+                   weights_by_category=weights).cols
     np.testing.assert_array_equal(got, np.nonzero(~seq.special_mask)[0])
 
 
-def test_select_ptw_rejects_nonpositive_weights():
+def test_select_ptw_rejects_nonpositive_weights(letters_vocab):
     seq = make_sequence(n=6, n_special_tail=2, pos_pattern=[0])
     with pytest.raises(ValueError):
-        select_ptw(seq, 1, np.zeros(17), np.random.default_rng(0))
+        plan_one(seq, 1, letters_vocab, np.random.default_rng(0), weights_by_category=np.zeros(17))
 
 
-def test_selection_is_sorted_and_deterministic():
+def test_selection_is_sorted_and_deterministic(letters_vocab):
     seq = make_sequence(n=32, n_special_tail=4, pos_pattern=[0, 1, 2])
-    a = select_random(seq, 9, np.random.default_rng(42))
-    b = select_random(seq, 9, np.random.default_rng(42))
+    a = plan_one(seq, 9, letters_vocab, np.random.default_rng(42)).cols
+    b = plan_one(seq, 9, letters_vocab, np.random.default_rng(42)).cols
     np.testing.assert_array_equal(a, b)
     assert np.all(np.diff(a) > 0)
 
 
-# ------------------------------------------------------------ corrupt
+# ------------------------------------------------------------ corruption
 
 def test_corrupt_all_mask_policy(letters_vocab):
     seq = make_sequence(n=12, n_special_tail=2, vocab_size=letters_vocab.size)
-    indices = select_random(seq, 5, np.random.default_rng(0))
     policy = MaskPolicy(strategy="random", mask_frac=1.0, random_frac=0.0, keep_frac=0.0)
-    plan = corrupt(seq, indices, policy, letters_vocab, np.random.default_rng(1))
-    assert np.all(plan.corrupted_ids[indices] == letters_vocab.mask_id)
+    plan = plan_one(seq, 5, letters_vocab, np.random.default_rng(1), policy)
+    indices, corrupted = plan.cols, plan.corrupted_ids[0]
+    assert np.all(corrupted[indices] == letters_vocab.mask_id)
     untouched = np.setdiff1d(np.arange(12), indices)
-    np.testing.assert_array_equal(plan.corrupted_ids[untouched], seq.token_ids[untouched])
+    np.testing.assert_array_equal(corrupted[untouched], seq.token_ids[untouched])
     np.testing.assert_array_equal(plan.labels, seq.token_ids[indices])
 
 
@@ -183,8 +172,7 @@ def test_corrupt_proportions(letters_vocab):
     counts = np.zeros(3)
     trials = 400
     for i in range(trials):
-        indices = np.arange(1, 101)
-        plan = corrupt(seq, indices, policy, letters_vocab, np.random.default_rng(i))
+        plan = plan_one(seq, 100, letters_vocab, np.random.default_rng(i), policy)
         counts += np.bincount(plan.actions, minlength=3)
     fracs = counts / counts.sum()
     np.testing.assert_allclose(fracs, [0.8, 0.1, 0.1], atol=0.01)
@@ -193,26 +181,20 @@ def test_corrupt_proportions(letters_vocab):
 def test_corrupt_keep_positions_still_in_plan(letters_vocab):
     seq = make_sequence(n=10, n_special_tail=2, vocab_size=letters_vocab.size)
     policy = MaskPolicy(strategy="random", mask_frac=0.0, random_frac=0.0, keep_frac=1.0)
-    indices = select_random(seq, 4, np.random.default_rng(0))
-    plan = corrupt(seq, indices, policy, letters_vocab, np.random.default_rng(1))
-    np.testing.assert_array_equal(plan.indices, indices)
+    # the selection is drawn before the actions, so the default split selects the same set
+    indices = plan_one(seq, 4, letters_vocab, np.random.default_rng(1)).cols
+    plan = plan_one(seq, 4, letters_vocab, np.random.default_rng(1), policy)
+    np.testing.assert_array_equal(plan.cols, indices)
     assert np.all(plan.actions == ACTION_KEEP)
-    np.testing.assert_array_equal(plan.corrupted_ids, seq.token_ids)  # untouched input
+    np.testing.assert_array_equal(plan.corrupted_ids[0], seq.token_ids)  # untouched input
 
 
 def test_corrupt_random_draws_nonreserved(letters_vocab):
     seq = make_sequence(n=40, n_special_tail=2, vocab_size=letters_vocab.size)
     policy = MaskPolicy(strategy="random", mask_frac=0.0, random_frac=1.0, keep_frac=0.0)
-    indices = select_random(seq, 30, np.random.default_rng(0))
-    plan = corrupt(seq, indices, policy, letters_vocab, np.random.default_rng(1))
-    assert np.all(plan.corrupted_ids[indices] >= letters_vocab.n_reserved)
-    assert np.all(plan.corrupted_ids[indices] < letters_vocab.size)
-
-
-def test_corrupt_rejects_special(letters_vocab):
-    seq = make_sequence(n=10, n_special_tail=2, vocab_size=letters_vocab.size)
-    with pytest.raises(ValueError):
-        corrupt(seq, np.array([0]), MaskPolicy(), letters_vocab, np.random.default_rng(0))
+    plan = plan_one(seq, 30, letters_vocab, np.random.default_rng(1), policy)
+    assert np.all(plan.corrupted_ids[0, plan.cols] >= letters_vocab.n_reserved)
+    assert np.all(plan.corrupted_ids[0, plan.cols] < letters_vocab.size)
 
 
 def test_policy_validation():
@@ -237,6 +219,24 @@ def test_build_plan_deterministic(letters_vocab):
     np.testing.assert_array_equal(plans[1].corrupted_ids, plans[0].corrupted_ids)
 
 
+# ------------------------------------------------------------ one-row plans
+
+def build_one(seq, ratio, policy, vocab, rng, weights_by_category=None):
+    return build_batch(seq.token_ids[None], seq.pos_ids[None], seq.special_mask[None],
+                       ratio, policy, vocab, rng, weights_by_category)
+
+
+def test_build_plan_deterministic(letters_vocab):
+    seq = make_sequence(n=24, n_special_tail=3, pos_pattern=[0, 1, 4], vocab_size=letters_vocab.size)
+    policy = MaskPolicy(strategy="ptw")
+    weights = np.linspace(0.2, 0.8, 17)
+    plans = [build_one(seq, 0.3, policy, letters_vocab, np.random.default_rng(9),
+                       weights_by_category=weights) for _ in range(2)]
+    np.testing.assert_array_equal(plans[1].cols, plans[0].cols)
+    np.testing.assert_array_equal(plans[1].actions, plans[0].actions)
+    np.testing.assert_array_equal(plans[1].corrupted_ids, plans[0].corrupted_ids)
+
+
 def test_build_plan_never_masks_specials(letters_vocab):
     rng_master = np.random.default_rng(3)
     policy = MaskPolicy(strategy="random")
@@ -245,16 +245,15 @@ def test_build_plan_never_masks_specials(letters_vocab):
         tail = int(rng_master.integers(1, 4))
         seq = make_sequence(n=n, n_special_tail=tail, vocab_size=letters_vocab.size)
         ratio = float(rng_master.uniform(0.01, 0.9))
-        plan = build_plan(seq, ratio, policy, letters_vocab,
-                          np.random.default_rng(rng_master.integers(1 << 30)))
-        assert not np.any(seq.special_mask[plan.indices])
+        plan = build_one(seq, ratio, policy, letters_vocab,
+                         np.random.default_rng(rng_master.integers(1 << 30)))
+        assert not np.any(seq.special_mask[plan.cols])
         # budget property, modulo the minimum-one rule
         m = seq.n_maskable
-        assert abs(plan.indices.size / m - ratio) <= 0.5 / m or plan.indices.size == 1
+        assert abs(plan.cols.size / m - ratio) <= 0.5 / m or plan.cols.size == 1
 
 
 def test_build_plan_requires_weights_for_ptw(letters_vocab):
     seq = make_sequence(n=10, n_special_tail=2, vocab_size=letters_vocab.size)
     with pytest.raises(ValueError):
-        build_plan(seq, 0.2, MaskPolicy(strategy="ptw"), letters_vocab,
-                   np.random.default_rng(0))
+        build_one(seq, 0.2, MaskPolicy(strategy="ptw"), letters_vocab, np.random.default_rng(0))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tvmask.model import net
-from tvmask.model.gradcheck import TINY_CONFIG, grad_check
 from tvmask.model.net import (
     ModelConfig,
     backward_masked,
@@ -20,6 +19,8 @@ from tvmask.model.net import (
 )
 from tvmask.model import optim
 from tvmask.model.optim import AdamW, clip_global_norm
+
+from gradcheck import TINY_CONFIG, grad_check
 
 SMALL = ModelConfig(layers=1, hidden_dim=16, heads=2, ff_dim=32, vocab_size=50,
                     L_seq=12, tied=True, dtype="float64")

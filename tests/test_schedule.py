@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tvmask.schedule import (
-    DECAY_KINDS,
     ScheduleKind,
     ScheduleSpec,
     expected_mass,
@@ -88,7 +87,8 @@ def test_symmetry_linear_and_cosine():
         assert abs(ratio_at(cos, t) + ratio_at(cos, T - t) - 0.34) < 1e-12
 
 
-@pytest.mark.parametrize("kind", sorted(DECAY_KINDS, key=lambda k: k.value))
+@pytest.mark.parametrize("kind", [ScheduleKind.COSINE, ScheduleKind.LINEAR,
+                                  ScheduleKind.QUAD_CONCAVE, ScheduleKind.QUAD_CONVEX])
 def test_decay_kinds_non_increasing(kind):
     spec = ScheduleSpec(kind, p=0.25, T=500)
     ratios = [ratio_at(spec, t) for t in range(501)]

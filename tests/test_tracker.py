@@ -5,6 +5,7 @@ import pytest
 
 from tvmask.postags import N_CATEGORIES
 from tvmask.tracker import CategoryLossTracker, weights_from_losses
+from tvmask.trainer import _snapshot_rows
 
 
 def ema_oracle(losses_per_step, beta, m=N_CATEGORIES):
@@ -54,7 +55,6 @@ def test_absent_category_unchanged():
     tr.cum_loss[5] = 0.7
     tr.update(vec(c0=1.0))
     assert tr.cum_loss[5] == 0.7
-    assert tr.step == 1
 
 
 def test_update_validation():
@@ -67,6 +67,8 @@ def test_update_validation():
         CategoryLossTracker(beta=1.0)
     with pytest.raises(ValueError):
         CategoryLossTracker(mu=0.0)
+    with pytest.raises(ValueError, match="underflows"):
+        CategoryLossTracker(mu=0.001)  # the lowest weight sigmoid(-4 / mu) is 0
 
 
 def test_ema_matches_oracle_on_random_streams():
@@ -130,18 +132,18 @@ def test_zero_history_uniform():
 
 
 def test_snapshot_copy_semantics():
+    # the trainer's snapshot rows are copies of the tracker state at one step
     tr = CategoryLossTracker(beta=0.9)
-    snap0 = tr.snapshot()
-    assert snap0.step == 0
-    assert np.all(snap0.cum_loss == 0.0)
-    assert np.all(snap0.weights == 0.5)
+    rows0 = _snapshot_rows(tr, 0)
+    assert all(r["step"] == 0 for r in rows0)
+    assert all(r["cum_loss"] == 0.0 for r in rows0)
+    assert all(r["weight"] == 0.5 for r in rows0)
     tr.update(vec(c0=2.0))
-    assert np.all(snap0.cum_loss == 0.0)  # snapshot unaffected by update
-    snap1 = tr.snapshot()
-    snap2 = tr.snapshot()
-    assert snap1.step == snap2.step == 1
-    np.testing.assert_array_equal(snap1.cum_loss, snap2.cum_loss)
-    np.testing.assert_array_equal(snap1.weights, snap2.weights)
+    assert all(r["cum_loss"] == 0.0 for r in rows0)  # rows unaffected by update
+    rows1 = _snapshot_rows(tr, 1)
+    assert rows1 == _snapshot_rows(tr, 1)
+    assert [r["cum_loss"] for r in rows1] == tr.cum_loss.tolist()
+    assert [r["weight"] for r in rows1] == tr.weights().tolist()
 
 
 def test_state_dict_roundtrip():
@@ -150,7 +152,6 @@ def test_state_dict_roundtrip():
     for _ in range(10):
         tr.update(rng.uniform(0, 4, size=N_CATEGORIES))
     clone = CategoryLossTracker.from_state_dict(tr.state_dict())
-    assert clone.step == tr.step
     assert clone.beta == tr.beta and clone.mu == tr.mu
     np.testing.assert_array_equal(clone.cum_loss, tr.cum_loss)
     np.testing.assert_array_equal(clone.weights(), tr.weights())

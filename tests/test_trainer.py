@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from tvmask.config import RunConfig
+from tvmask.config import ConfigError, RunConfig
 from tvmask.corpus.packing import pack_to_arrays
 from tvmask.corpus.synth import generate_sentences
 from tvmask.corpus.tokenizer import tokenize_aligned
@@ -147,8 +147,8 @@ def test_checkpoint_resume_identical(micro_data, tmp_path):
 
 def test_checkpoint_with_older_keys_resumes(micro_data, tmp_path):
     # checkpoints from before the optimizer constants, the run seed and the
-    # tracker's category count were dropped from the file carry extra keys;
-    # the reader ignores them
+    # tracker's category count and step counter were dropped from the file
+    # carry extra keys; the reader ignores them
     full_state, full_sink = run_micro(micro_data, T=30)
     half_state, _ = run_micro(micro_data, T=15)
     path = tmp_path / "step_00000015.ckpt"
@@ -156,6 +156,7 @@ def test_checkpoint_with_older_keys_resumes(micro_data, tmp_path):
     blob = pickle.loads(path.read_bytes())
     blob["run_seed"] = 5
     blob["tracker"]["n_categories"] = N_CATEGORIES
+    blob["tracker"]["step"] = 15
     blob["opt"].update(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
     path.write_bytes(pickle.dumps(blob))
     loaded, _, _ = load_checkpoint(str(path))
@@ -163,6 +164,15 @@ def test_checkpoint_with_older_keys_resumes(micro_data, tmp_path):
     assert [r for r in full_sink.metrics if r["step"] >= 15] == resumed_sink.metrics
     for name in full_state.params:
         np.testing.assert_array_equal(full_state.params[name], resumed_state.params[name])
+
+
+def test_schedule_masking_nothing_at_step_0_rejected(micro_data):
+    # the library refuses what the CLI refuses, before any step is taken
+    for kind in (ScheduleKind.ASCENDING, ScheduleKind.ASCEND_THEN_DECAY):
+        with pytest.raises(ConfigError, match=r"schedule\.floor"):
+            run_micro(micro_data, T=10, kind=kind, schedule_floor=0.0)
+    state, _ = run_micro(micro_data, T=3, kind=ScheduleKind.ASCENDING, schedule_floor=0.01)
+    assert state.step == 3
 
 
 def test_nan_loss_aborts_with_step(micro_data):
@@ -227,3 +237,12 @@ def test_eval_independent_of_batch_size(micro_data):
     reports = [eval_mlm(state.params, cfg, tokens[:40], pos[:40], special[:40], vocab,
                         seed=4, batch_size=bs) for bs in (1, 7, 32)]
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_eval_rejects_ratio_outside_open_unit_interval(micro_data):
+    tokens, pos, special, vocab = micro_data
+    cfg = micro_cfg(vocab)
+    state = fresh_state(cfg, RunConfig(run_seed=3))
+    for ratio in (0.0, 1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="ratio"):
+            eval_mlm(state.params, cfg, tokens[:4], pos[:4], special[:4], vocab, ratio=ratio)
