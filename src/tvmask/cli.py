@@ -23,7 +23,6 @@ from tvmask.config import ConfigError, RunConfig
 from tvmask.corpus.packing import load_packed, pack_to_arrays, save_packed
 from tvmask.corpus.reader import CorpusFormatError, load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
-from tvmask.corpus.tokenizer import tokenize_aligned
 from tvmask.corpus.vocab import Vocabulary, build_vocab
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.postags import UPOS_TAGS
@@ -61,8 +60,7 @@ def cmd_prepare(args) -> int:
         raise CliError(f"{args.out} already contains a prepared corpus (use --force)")
     sentences = list(load_tagged_corpus(args.corpus))
     vocab = build_vocab(iter(sentences), args.vocab_size)
-    fragments = (tokenize_aligned(s, vocab) for s in sentences)
-    tokens, pos_ids, special = pack_to_arrays(fragments, args.L_seq, vocab)
+    tokens, pos_ids, special = pack_to_arrays(sentences, args.L_seq, vocab)
 
     os.makedirs(args.out, exist_ok=True)
     vocab.save(os.path.join(args.out, "vocab.txt"))
@@ -92,6 +90,9 @@ def cmd_prepare(args) -> int:
 
 # ---------------------------------------------------------------- train
 
+FLUSH_EVERY = 200  # metrics rows between flushes
+
+
 class JsonlSink:
     """Writes metrics/snapshot rows to the run directory as JSONL.
 
@@ -99,7 +100,7 @@ class JsonlSink:
     before resume_step and appends after them.
     """
 
-    def __init__(self, run_dir, resume_step=None, flush_every=200):
+    def __init__(self, run_dir, resume_step=None):
         self._metrics_path = os.path.join(run_dir, "metrics.jsonl")
         self._snapshots_path = os.path.join(run_dir, "snapshots.jsonl")
         mode = "w"
@@ -109,13 +110,12 @@ class JsonlSink:
             mode = "a"
         self._metrics = open(self._metrics_path, mode, encoding="utf-8")
         self._snapshots = open(self._snapshots_path, mode, encoding="utf-8")
-        self._flush_every = flush_every
         self._pending = 0
 
     def on_metrics(self, row):
         self._metrics.write(json.dumps(row) + "\n")
         self._pending += 1
-        if self._pending >= self._flush_every:
+        if self._pending >= FLUSH_EVERY:
             self.flush()
 
     def on_snapshots(self, rows):
@@ -158,18 +158,17 @@ def _truncate_jsonl(path, resume_step: int) -> None:
         f.writelines(json.dumps(row) + "\n" for row in rows)
 
 
-def _build_run_pieces(cfg: RunConfig):
-    """The prepared corpus of the config, checked against its vocabulary hash,
-    and the model shaped for it."""
-    prepared = cfg.corpus_prepared
+def _load_prepared(prepared, source: str):
+    """(tokens, pos_ids, special, vocab, meta) of a prepared corpus, its
+    vocabulary checked against the hash in its meta.json. ``source`` names
+    the key or flag the path came from."""
     if not prepared or not os.path.isdir(prepared):
-        raise CliError(f"corpus.prepared does not point at a prepared corpus: {prepared!r}")
+        raise CliError(f"{source} does not point at a prepared corpus: {prepared!r}")
     tokens, pos_ids, special, meta = load_packed(prepared)
     vocab = Vocabulary.load(os.path.join(prepared, "vocab.txt"))
     if vocab.content_hash() != meta["vocab_hash"]:
         raise CliError(f"vocabulary in {prepared} does not match its meta.json hash")
-    model_cfg = cfg.model_config(vocab.size, int(meta["L_seq"]))
-    return tokens, pos_ids, special, vocab, meta, model_cfg
+    return tokens, pos_ids, special, vocab, meta
 
 
 def _check_same_run(cfg: RunConfig, run_dir) -> None:
@@ -249,7 +248,8 @@ def cmd_train(args) -> int:
             raise CliError(f"{run_dir} already contains a run (use --force or --resume)")
     elif args.resume:
         raise CliError(f"{run_dir} holds no run (no config.txt): nothing to resume")
-    tokens, pos_ids, special, vocab, meta, model_cfg = _build_run_pieces(cfg)
+    tokens, pos_ids, special, vocab, meta = _load_prepared(cfg.corpus_prepared, "corpus.prepared")
+    model_cfg = cfg.model_config(vocab.size, int(meta["L_seq"]))
     os.makedirs(run_dir, exist_ok=True)
     os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
 
@@ -334,11 +334,9 @@ def cmd_eval(args) -> int:
     cfg_path = os.path.join(run_dir, "config.txt")
     if not os.path.exists(cfg_path):
         raise CliError(f"not a run directory (no config.txt): {run_dir}")
-    _, _, _, vocab, meta, _ = _build_run_pieces(cfgmod.load(cfg_path))
-
-    sentences = list(load_tagged_corpus(args.heldout))
-    fragments = (tokenize_aligned(s, vocab) for s in sentences)
-    tokens, pos_ids, special = pack_to_arrays(fragments, int(meta["L_seq"]), vocab)
+    *_, vocab, meta = _load_prepared(cfgmod.load(cfg_path).corpus_prepared, "corpus.prepared")
+    tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout),
+                                              int(meta["L_seq"]), vocab)
 
     steps = _all_checkpoint_steps(run_dir)
     if args.checkpoint == "latest":
@@ -386,9 +384,13 @@ def _all_checkpoint_steps(run_dir) -> list[int]:
 # ---------------------------------------------------------------- debug
 
 def cmd_mask_debug(args) -> int:
-    tokens, pos_ids, special, meta = load_packed(args.prepared)
-    vocab = Vocabulary.load(os.path.join(args.prepared, "vocab.txt"))
+    tokens, pos_ids, special, vocab, _ = _load_prepared(args.prepared, "--prepared")
     rows = [int(r) for r in args.rows.split(",")]
+    n_sequences = tokens.shape[0]
+    for row in rows:
+        if not 0 <= row < n_sequences:
+            raise CliError(f"--rows {row} is outside the corpus's {n_sequences} sequences "
+                           f"(0 to {n_sequences - 1})")
     # uniform category weights; the random strategy ignores them
     plan = build_batch(tokens[rows], pos_ids[rows], special[rows], args.ratio,
                        MaskPolicy(strategy=args.strategy), vocab,
@@ -477,10 +479,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, CorpusFormatError, FileNotFoundError, ValueError) as err:
+    except (CliError, ConfigError, CorpusFormatError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,6 +1,6 @@
-from tvmask.corpus.packing import TaggedSequence, load_packed, pack_sequences, pack_to_arrays, save_packed
+from tvmask.corpus.packing import load_packed, pack_to_arrays, save_packed
 from tvmask.corpus.reader import CorpusFormatError, load_tagged_corpus
-from tvmask.corpus.tokenizer import SentenceFragment, tokenize_aligned, tokenize_word
+from tvmask.corpus.tokenizer import tokenize_word
 from tvmask.corpus.vocab import RESERVED_TOKENS, Vocabulary, build_vocab
 
 __all__ = [
@@ -9,11 +9,7 @@ __all__ = [
     "RESERVED_TOKENS",
     "Vocabulary",
     "build_vocab",
-    "SentenceFragment",
     "tokenize_word",
-    "tokenize_aligned",
-    "TaggedSequence",
-    "pack_sequences",
     "pack_to_arrays",
     "save_packed",
     "load_packed",

@@ -1,27 +1,16 @@
-"""Greedy longest-match subword tokenization with POS alignment.
+"""Greedy longest-match subword tokenization of one word.
 
-Tags are assigned per word upstream; every piece of a word inherits that
-word's category id, so masking can weight pieces by category.
+Tags are assigned per word upstream. The packer
+(``tvmask.corpus.packing.pack_to_arrays``) aligns them: every piece of a
+word inherits that word's category id, so masking can weight pieces by
+category.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from tvmask.corpus.vocab import CONTINUATION, Vocabulary
 
 MAX_WORD_CHARS = 100  # longer words go straight to [UNK]
-
-
-@dataclass
-class SentenceFragment:
-    """One tokenized sentence, no special tokens inserted yet."""
-
-    token_ids: np.ndarray    # int32 piece ids
-    pos_ids: np.ndarray      # int8 category id per piece
-    word_lengths: np.ndarray # pieces per word, for word-atomic packing
 
 
 def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
@@ -49,20 +38,3 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
         pieces.append(found)
         start = end
     return pieces
-
-
-def tokenize_aligned(sentence: list[tuple[str, int]], vocab: Vocabulary) -> SentenceFragment:
-    """Tokenize a (form, category) sentence; pieces inherit the word's category."""
-    token_ids: list[int] = []
-    pos_ids: list[int] = []
-    word_lengths: list[int] = []
-    for form, pos in sentence:
-        ids = tokenize_word(form, vocab)
-        token_ids.extend(ids)
-        pos_ids.extend([pos] * len(ids))
-        word_lengths.append(len(ids))
-    return SentenceFragment(
-        token_ids=np.asarray(token_ids, dtype=np.int32),
-        pos_ids=np.asarray(pos_ids, dtype=np.int8),
-        word_lengths=np.asarray(word_lengths, dtype=np.int32),
-    )

@@ -1,7 +1,8 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from tvmask.corpus.packing import TaggedSequence
 from tvmask.corpus.vocab import RESERVED_TOKENS, Vocabulary
 from tvmask.masking import MaskPolicy, build_batch, target_count
 
@@ -13,8 +14,21 @@ def letters_vocab():
     return Vocabulary(list(RESERVED_TOKENS) + letters)
 
 
+@dataclass
+class Sequence:
+    """One packed row: token ids, category ids and special-token flags."""
+
+    token_ids: np.ndarray
+    pos_ids: np.ndarray
+    special_mask: np.ndarray
+
+    @property
+    def n_maskable(self) -> int:
+        return int(np.count_nonzero(~self.special_mask))
+
+
 def make_sequence(n=10, n_special_tail=2, pos_pattern=None, vocab_size=20):
-    """TaggedSequence with [CLS] ... [SEP]/[PAD] tail; deterministic token ids."""
+    """Sequence with [CLS] ... [SEP]/[PAD] tail; deterministic token ids."""
     token_ids = np.arange(5, 5 + n, dtype=np.int32) % vocab_size
     special = np.zeros(n, dtype=bool)
     special[0] = True
@@ -27,7 +41,7 @@ def make_sequence(n=10, n_special_tail=2, pos_pattern=None, vocab_size=20):
     if pos_pattern is None:
         pos_pattern = [0]
     pos = np.array([pos_pattern[i % len(pos_pattern)] for i in range(n)], dtype=np.int8)
-    return TaggedSequence(token_ids, pos, special)
+    return Sequence(token_ids, pos, special)
 
 
 def plan_one(seq, count, vocab, rng, policy=None, weights_by_category=None):

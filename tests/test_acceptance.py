@@ -16,7 +16,6 @@ import pytest
 from tvmask.config import RunConfig
 from tvmask.corpus.packing import pack_to_arrays
 from tvmask.corpus.synth import generate_sentences
-from tvmask.corpus.tokenizer import tokenize_aligned
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import ModelConfig
@@ -46,8 +45,7 @@ def build_corpus(n_tokens, seed, vocab_size, L_seq, vocab=None):
     n_words = sum(len(s) for s in sentences)
     if vocab is None:
         vocab = build_vocab(iter(sentences), vocab_size)
-    frags = (tokenize_aligned(s, vocab) for s in sentences)
-    tokens, pos, special = pack_to_arrays(frags, L_seq, vocab)
+    tokens, pos, special = pack_to_arrays(sentences, L_seq, vocab)
     return tokens, pos, special, vocab, n_words
 
 

@@ -500,6 +500,33 @@ def test_mask_debug_json(workdir, capsys):
         assert set(plan["actions"]) <= {"mask", "random", "keep"}
 
 
+def test_mask_debug_refuses_cut_vocabulary(workdir, tmp_path, capsys):
+    prep = tmp_path / "prep"
+    shutil.copytree(workdir / "prep", prep)
+    lines = (prep / "vocab.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    (prep / "vocab.txt").write_text("".join(lines[:-40]), encoding="utf-8")
+    assert main(["mask-debug", "--prepared", str(prep)]) == 1
+    captured = capsys.readouterr()
+    assert "does not match" in captured.err
+    assert not captured.out
+
+
+def test_mask_debug_missing_prepared_dir(tmp_path, capsys):
+    missing = tmp_path / "nope"
+    assert main(["mask-debug", "--prepared", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows", ["99999", "-1", "0,99999"])
+def test_mask_debug_rows_out_of_range(workdir, capsys, rows):
+    n_sequences = json.loads((workdir / "prep" / "meta.json").read_text())["n_sequences"]
+    assert main(["mask-debug", "--prepared", str(workdir / "prep"), "--rows", rows]) == 1
+    captured = capsys.readouterr()
+    assert "--rows" in captured.err and f"{n_sequences} sequences" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
 def test_synth_command(tmp_path):
     out = tmp_path / "c.txt"
     assert main(["synth", "--out", str(out), "--tokens", "500", "--seed", "9"]) == 0

@@ -3,12 +3,14 @@ import logging
 import numpy as np
 import pytest
 
-from tvmask.corpus.packing import pack_sequences, pack_to_arrays
+from tvmask.corpus.packing import pack_to_arrays
 from tvmask.corpus.reader import CorpusFormatError, load_tagged_corpus
 from tvmask.corpus.synth import generate_sentences, write_corpus
-from tvmask.corpus.tokenizer import tokenize_aligned, tokenize_word
+from tvmask.corpus.tokenizer import tokenize_word
 from tvmask.corpus.vocab import RESERVED_TOKENS, Vocabulary, build_vocab
 from tvmask.postags import UPOS_TAGS, pos_id
+
+from packing_reference import reference_pack
 
 
 def write(tmp_path, text, name="corpus.txt"):
@@ -114,25 +116,30 @@ def small_vocab():
     return Vocabulary(list(RESERVED_TOKENS) + ["keep", "##s", "doctor", "an", "##d"])
 
 
+def pack_body(sentence, vocab):
+    """Piece ids and category ids of one packed sentence, specials dropped."""
+    tokens, pos, special = pack_to_arrays([sentence], 8, vocab)
+    return tokens[~special], pos[~special]
+
+
 def test_tokenize_continuation_inherits_tag(small_vocab):
-    frag = tokenize_aligned([("keeps", pos_id("VERB"))], small_vocab)
+    token_ids, pos_ids = pack_body([("keeps", pos_id("VERB"))], small_vocab)
     keep = small_vocab.token_to_id["keep"]
     s = small_vocab.token_to_id["##s"]
-    np.testing.assert_array_equal(frag.token_ids, [keep, s])
-    assert list(frag.pos_ids) == [pos_id("VERB")] * 2
-    assert list(frag.word_lengths) == [2]
+    np.testing.assert_array_equal(token_ids, [keep, s])
+    assert list(pos_ids) == [pos_id("VERB")] * 2
 
 
 def test_tokenize_whole_word(small_vocab):
-    frag = tokenize_aligned([("doctor", pos_id("NOUN"))], small_vocab)
-    np.testing.assert_array_equal(frag.token_ids, [small_vocab.token_to_id["doctor"]])
-    assert list(frag.pos_ids) == [pos_id("NOUN")]
+    token_ids, pos_ids = pack_body([("doctor", pos_id("NOUN"))], small_vocab)
+    np.testing.assert_array_equal(token_ids, [small_vocab.token_to_id["doctor"]])
+    assert list(pos_ids) == [pos_id("NOUN")]
 
 
 def test_tokenize_oov_is_unk_with_tag(small_vocab):
-    frag = tokenize_aligned([("zzz", pos_id("ADJ"))], small_vocab)
-    np.testing.assert_array_equal(frag.token_ids, [small_vocab.unk_id])
-    assert list(frag.pos_ids) == [pos_id("ADJ")]
+    token_ids, pos_ids = pack_body([("zzz", pos_id("ADJ"))], small_vocab)
+    np.testing.assert_array_equal(token_ids, [small_vocab.unk_id])
+    assert list(pos_ids) == [pos_id("ADJ")]
 
 
 def test_tokenize_greedy_longest_match(small_vocab):
@@ -144,43 +151,37 @@ def test_tokenize_greedy_longest_match(small_vocab):
 
 # ------------------------------------------------------------ packing
 
-def build_from_text(sentences, vocab_size=256, L_seq=16):
-    vocab = build_vocab(iter(sentences), vocab_size)
-    frags = [tokenize_aligned(s, vocab) for s in sentences]
-    return vocab, frags
-
-
 def test_pack_layout_single_sentence():
     sentences = [[(w, 0) for w in ("v", "w", "x", "y", "z")]]
-    vocab, frags = build_from_text(sentences, vocab_size=16, L_seq=8)
-    seqs = list(pack_sequences(iter(frags), 8, vocab))
-    assert len(seqs) == 1
-    seq = seqs[0]
-    assert seq.token_ids[0] == vocab.cls_id
-    assert seq.token_ids[6] == vocab.sep_id
-    assert seq.token_ids[7] == vocab.pad_id
-    assert seq.special_mask.sum() == 3  # CLS, SEP, PAD
-    assert list(seq.special_mask) == [True] + [False] * 5 + [True, True]
+    vocab = build_vocab(iter(sentences), 16)
+    tokens, _pos, special = pack_to_arrays(sentences, 8, vocab)
+    assert tokens.shape == (1, 8)
+    assert tokens[0, 0] == vocab.cls_id
+    assert tokens[0, 6] == vocab.sep_id
+    assert tokens[0, 7] == vocab.pad_id
+    assert special[0].sum() == 3  # CLS, SEP, PAD
+    assert list(special[0]) == [True] + [False] * 5 + [True, True]
 
 
 def test_pack_round_trip_and_tag_conservation():
     sentences = [[(f, pos_id(t)) for f, t in s] for s in generate_sentences(3000, 9)]
-    vocab, frags = build_from_text(sentences, vocab_size=512)
-    tokens, pos, special = pack_to_arrays(iter(frags), 32, vocab)
+    vocab = build_vocab(iter(sentences), 512)
+    tokens, pos, special = pack_to_arrays(iter(sentences), 32, vocab)
     # round-trip: non-special pieces in order reconstruct the tokenized corpus
     flat_tokens = tokens[~special]
     flat_pos = pos[~special]
-    expected_tokens = np.concatenate([f.token_ids for f in frags])
-    expected_pos = np.concatenate([f.pos_ids for f in frags])
+    words = [(tokenize_word(f, vocab), t) for s in sentences for f, t in s]
+    expected_tokens = np.concatenate([ids for ids, _ in words])
+    expected_pos = np.concatenate([[t] * len(ids) for ids, t in words])
     np.testing.assert_array_equal(flat_tokens, expected_tokens)
     np.testing.assert_array_equal(flat_pos, expected_pos)
 
 
 def test_pack_deterministic():
     sentences = [[(f, pos_id(t)) for f, t in s] for s in generate_sentences(1500, 2)]
-    vocab, frags = build_from_text(sentences, vocab_size=256)
-    a = pack_to_arrays(iter(frags), 24, vocab)
-    b = pack_to_arrays(iter(frags), 24, vocab)
+    vocab = build_vocab(iter(sentences), 256)
+    a = pack_to_arrays(iter(sentences), 24, vocab)
+    b = pack_to_arrays(iter(sentences), 24, vocab)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
 
@@ -189,16 +190,14 @@ def test_pack_words_not_split_unless_oversized():
     # two 4-piece words in a capacity-6 buffer: second word moves whole
     vocab = Vocabulary(list(RESERVED_TOKENS) + ["ab", "##a", "##b", "##c"])
     sentences = [[("abaabab", 0), ("abaabab", 1)]]  # ab ##a ##a ##b ##a ##b? depends
-    frags = [tokenize_aligned(s, vocab) for s in sentences]
-    wl = frags[0].word_lengths
+    wl = [len(tokenize_word(f, vocab)) for f, _ in sentences[0]]
     assert wl[0] == wl[1] >= 2
-    seqs = list(pack_sequences(iter(frags), 8, vocab))
+    tokens, _pos, special = pack_to_arrays(sentences, 8, vocab)
     # each sequence's non-special span must hold whole words only
-    starts = np.cumsum([0] + list(wl))[:-1]
     word_of_piece = np.repeat(np.arange(len(wl)), wl)
     offset = 0
-    for seq in seqs:
-        body = seq.token_ids[~seq.special_mask]
+    for row, row_special in zip(tokens, special):
+        body = row[~row_special]
         words_here = word_of_piece[offset : offset + len(body)]
         offset += len(body)
         for w in np.unique(words_here):
@@ -208,17 +207,62 @@ def test_pack_words_not_split_unless_oversized():
 def test_pack_oversized_word_splits():
     vocab = Vocabulary(list(RESERVED_TOKENS) + ["a", "##a"])
     long_word = "a" * 20  # 20 pieces > capacity 6
-    frags = [tokenize_aligned([(long_word, 0)], vocab)]
-    seqs = list(pack_sequences(iter(frags), 8, vocab))
-    total_pieces = sum(int((~s.special_mask).sum()) for s in seqs)
-    assert total_pieces == 20
-    assert len(seqs) == 4  # ceil(20 / 6)
+    tokens, _pos, special = pack_to_arrays([[(long_word, 0)]], 8, vocab)
+    assert int((~special).sum()) == 20
+    assert tokens.shape[0] == 4  # ceil(20 / 6)
 
 
 def test_pack_min_length():
     vocab = Vocabulary(list(RESERVED_TOKENS) + ["a"])
     with pytest.raises(ValueError):
-        list(pack_sequences(iter([]), 4, vocab))
+        pack_to_arrays(iter([]), 4, vocab)
+
+
+def assert_packs_like_reference(sentences, L_seq, vocab):
+    got = pack_to_arrays(iter(sentences), L_seq, vocab)
+    want = reference_pack(sentences, L_seq, vocab)
+    for name, x, y in zip(("tokens", "pos_ids", "special"), got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape, (name, x.dtype, x.shape, y.dtype, y.shape)
+        np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+def test_pack_matches_reference_on_synth_corpora():
+    # 24 corpora x 4 vocabulary sizes x 5 sequence lengths = 480 cases
+    rng = np.random.default_rng(2208)
+    for seed in range(24):
+        sentences = [[(f, pos_id(t)) for f, t in s]
+                     for s in generate_sentences(int(rng.integers(20, 400)), seed)]
+        for vocab_size in (16, 64, 256, 1024):
+            vocab = build_vocab(iter(sentences), vocab_size)
+            for L_seq in (8, 9, 12, 16, 32):
+                start = int(rng.integers(0, len(sentences)))
+                assert_packs_like_reference(sentences[start:], L_seq, vocab)
+
+
+def test_pack_matches_reference_on_oversized_words():
+    # a word of n letters is at most n pieces; a word with a "z" is one [UNK]
+    vocab = Vocabulary(list(RESERVED_TOKENS) + ["a", "b", "ab", "##a", "##b", "##ba"])
+    rng = np.random.default_rng(10806)
+    for _ in range(600):
+        sentences = [
+            [("".join(rng.choice(list("abz"), size=int(rng.integers(1, 31)), p=[0.495, 0.495, 0.01])),
+              int(rng.integers(0, len(UPOS_TAGS))))
+             for _ in range(int(rng.integers(0, 6)))]
+            for _ in range(int(rng.integers(1, 8)))
+        ]
+        if not any(sentences):
+            sentences[0].append(("a", 0))
+        assert_packs_like_reference(sentences, int(rng.integers(8, 17)), vocab)
+
+
+def test_pack_errors_match_reference():
+    vocab = Vocabulary(list(RESERVED_TOKENS) + ["a"])
+    for sentences, L_seq, message in (([], 16, "corpus empty"), ([[], []], 8, "corpus empty"),
+                                      ([[("a", 0)]], 7, "L_seq must be >= 8"),
+                                      ([], 4, "L_seq must be >= 8")):
+        for pack in (pack_to_arrays, reference_pack):
+            with pytest.raises(ValueError, match=message):
+                pack(iter(sentences), L_seq, vocab)
 
 
 # ------------------------------------------------------------ synthetic corpus

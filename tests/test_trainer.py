@@ -7,7 +7,6 @@ import pytest
 from tvmask.config import ConfigError, RunConfig
 from tvmask.corpus.packing import pack_to_arrays
 from tvmask.corpus.synth import generate_sentences
-from tvmask.corpus.tokenizer import tokenize_aligned
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import ModelConfig, backward_masked, forward_masked, softmax_xent
@@ -32,8 +31,7 @@ MICRO_MODEL = dict(layers=1, hidden_dim=16, heads=2, ff_dim=32)
 def micro_data():
     sentences = [[(f, pos_id(t)) for f, t in s] for s in generate_sentences(12000, 31)]
     vocab = build_vocab(iter(sentences), 512)
-    frags = (tokenize_aligned(s, vocab) for s in sentences)
-    tokens, pos, special = pack_to_arrays(frags, 32, vocab)
+    tokens, pos, special = pack_to_arrays(sentences, 32, vocab)
     return tokens, pos, special, vocab
 
 
