@@ -27,8 +27,8 @@ from tvmask.corpus.vocab import Vocabulary, build_vocab
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.postags import UPOS_TAGS
 from tvmask.schedule import ScheduleKind, ScheduleSpec, schedule_rows
-from tvmask import trainer as trainer_mod
-from tvmask.trainer import TrainAbort, eval_mlm, load_checkpoint, train
+from tvmask.trainer import (TrainAbort, checkpoint_path, checkpoint_steps, eval_mlm,
+                            load_checkpoint, train)
 
 log = logging.getLogger("tvmask")
 
@@ -90,14 +90,12 @@ def cmd_prepare(args) -> int:
 
 # ---------------------------------------------------------------- train
 
-FLUSH_EVERY = 200  # metrics rows between flushes
-
-
 class JsonlSink:
     """Writes metrics/snapshot rows to the run directory as JSONL.
 
     A fresh run starts both files empty; a resumed run keeps the rows
-    before resume_step and appends after them.
+    before resume_step and appends after them, and refuses to start when
+    the kept metrics rows are not exactly steps 0 to resume_step - 1.
     """
 
     def __init__(self, run_dir, resume_step=None):
@@ -105,18 +103,20 @@ class JsonlSink:
         self._snapshots_path = os.path.join(run_dir, "snapshots.jsonl")
         mode = "w"
         if resume_step is not None:
-            _truncate_jsonl(self._metrics_path, resume_step)
-            _truncate_jsonl(self._snapshots_path, resume_step)
+            metrics = _rows_before(self._metrics_path, resume_step)
+            if [row["step"] for row in metrics] != list(range(resume_step)):
+                raise CliError(f"{self._metrics_path} lacks rows of steps before the "
+                               f"checkpoint at step {resume_step}: cannot resume without a gap")
+            snapshots = _rows_before(self._snapshots_path, resume_step)
+            for path, rows in ((self._metrics_path, metrics), (self._snapshots_path, snapshots)):
+                with open(path, "w", encoding="utf-8") as f:
+                    f.writelines(json.dumps(row) + "\n" for row in rows)
             mode = "a"
         self._metrics = open(self._metrics_path, mode, encoding="utf-8")
         self._snapshots = open(self._snapshots_path, mode, encoding="utf-8")
-        self._pending = 0
 
     def on_metrics(self, row):
         self._metrics.write(json.dumps(row) + "\n")
-        self._pending += 1
-        if self._pending >= FLUSH_EVERY:
-            self.flush()
 
     def on_snapshots(self, rows):
         for row in rows:
@@ -125,7 +125,6 @@ class JsonlSink:
     def flush(self):
         self._metrics.flush()
         self._snapshots.flush()
-        self._pending = 0
 
     def close(self):
         self.flush()
@@ -149,13 +148,12 @@ def _read_jsonl(path) -> list[dict]:
     return [json.loads(line) for line in lines if line.strip()]
 
 
-def _truncate_jsonl(path, resume_step: int) -> None:
-    """Drop rows at or after resume_step so the resumed run re-emits them."""
+def _rows_before(path, resume_step: int) -> list[dict]:
+    """Rows of a JSONL file (none if it is missing) before resume_step; the
+    resumed run re-emits the rest."""
     if not os.path.exists(path):
-        return
-    rows = [row for row in _read_jsonl(path) if row["step"] < resume_step]
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(json.dumps(row) + "\n" for row in rows)
+        return []
+    return [row for row in _read_jsonl(path) if row["step"] < resume_step]
 
 
 def _load_prepared(prepared, source: str):
@@ -236,10 +234,11 @@ def cmd_train(args) -> int:
     if not run_dir:
         raise CliError("no output directory (set run.out or pass --out)")
 
+    ckpt_dir = os.path.join(run_dir, "checkpoints")
     resume_step = None
     if os.path.exists(os.path.join(run_dir, "config.txt")):
         if args.resume:
-            steps = _all_checkpoint_steps(run_dir)
+            steps = checkpoint_steps(ckpt_dir)
             if not steps:
                 raise CliError(f"{run_dir} has no checkpoint to resume from")
             resume_step = steps[-1]
@@ -250,29 +249,25 @@ def cmd_train(args) -> int:
         raise CliError(f"{run_dir} holds no run (no config.txt): nothing to resume")
     tokens, pos_ids, special, vocab, meta = _load_prepared(cfg.corpus_prepared, "corpus.prepared")
     model_cfg = cfg.model_config(vocab.size, int(meta["L_seq"]))
-    os.makedirs(run_dir, exist_ok=True)
-    os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
+    os.makedirs(ckpt_dir, exist_ok=True)
 
     lock = _acquire_lock(run_dir)
     sink = None
     try:
-        ckpt_dir = os.path.join(run_dir, "checkpoints")
         state = None
         if resume_step is not None:
-            state, ckpt_cfg, extra = load_checkpoint(
-                trainer_mod.checkpoint_path(ckpt_dir, resume_step))
-            if extra.get("vocab_hash") != meta["vocab_hash"]:
+            state, ckpt_cfg, vocab_hash = load_checkpoint(checkpoint_path(ckpt_dir, resume_step))
+            if vocab_hash != meta["vocab_hash"]:
                 raise CliError("checkpoint was trained with a different vocabulary")
             if ckpt_cfg != model_cfg:
                 raise CliError("checkpoint model config does not match run config")
         elif args.force:  # no checkpoint of the replaced run may survive into this one
-            for step in _all_checkpoint_steps(run_dir):
-                os.remove(trainer_mod.checkpoint_path(ckpt_dir, step))
+            for step in checkpoint_steps(ckpt_dir):
+                os.remove(checkpoint_path(ckpt_dir, step))
         cfgmod.save(cfg, os.path.join(run_dir, "config.txt"))
         sink = JsonlSink(run_dir, resume_step=resume_step)
         train(cfg, model_cfg, tokens, pos_ids, special, vocab,
-              sink=sink, state=state, checkpoint_dir=ckpt_dir,
-              checkpoint_extra={"vocab_hash": meta["vocab_hash"]})
+              sink=sink, state=state, checkpoint_dir=ckpt_dir)
     except TrainAbort as err:
         print(f"aborted: {err}", file=sys.stderr)
         if err.last_metrics:
@@ -338,7 +333,8 @@ def cmd_eval(args) -> int:
     tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout),
                                               int(meta["L_seq"]), vocab)
 
-    steps = _all_checkpoint_steps(run_dir)
+    ckpt_dir = os.path.join(run_dir, "checkpoints")
+    steps = checkpoint_steps(ckpt_dir)
     if args.checkpoint == "latest":
         steps = steps[-1:]
     elif args.checkpoint != "all":
@@ -349,11 +345,11 @@ def cmd_eval(args) -> int:
     report = {"run": os.path.abspath(run_dir), "heldout": os.path.abspath(args.heldout),
               "ratio": args.ratio, "seed": args.seed, "checkpoints": []}
     for step in steps:
-        path = trainer_mod.checkpoint_path(os.path.join(run_dir, "checkpoints"), step)
+        path = checkpoint_path(ckpt_dir, step)
         if not os.path.exists(path):
             raise CliError(f"checkpoint not found: {path}")
-        state, model_cfg, extra = load_checkpoint(path)
-        if extra.get("vocab_hash") != vocab.content_hash():
+        state, model_cfg, vocab_hash = load_checkpoint(path)
+        if vocab_hash != vocab.content_hash():
             raise CliError(f"checkpoint {step} was trained with a different vocabulary")
         result = eval_mlm(state.params, model_cfg, tokens, pos_ids, special, vocab,
                           ratio=args.ratio, seed=args.seed)
@@ -368,17 +364,6 @@ def cmd_eval(args) -> int:
         f.write("\n")
     print(f"report written to {out}")
     return EXIT_OK
-
-
-def _all_checkpoint_steps(run_dir) -> list[int]:
-    ckpt_dir = os.path.join(run_dir, "checkpoints")
-    if not os.path.isdir(ckpt_dir):
-        return []
-    return sorted(
-        int(name[len("step_"):-len(".ckpt")])
-        for name in os.listdir(ckpt_dir)
-        if name.startswith("step_") and name.endswith(".ckpt")
-    )
 
 
 # ---------------------------------------------------------------- debug

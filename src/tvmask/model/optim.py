@@ -78,20 +78,3 @@ class AdamW:
                     u += a
                 u *= lr_p
                 pb -= u
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    @classmethod
-    def from_state_dict(cls, params: dict, state: dict) -> "AdamW":
-        """Restore from state_dict(); older checkpoints' hyper-parameter keys are ignored."""
-        opt = cls(params)
-        opt.t = int(state["t"])
-        for k in opt.m:
-            opt.m[k][:] = state["m"][k]
-            opt.v[k][:] = state["v"][k]
-        return opt

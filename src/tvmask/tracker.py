@@ -60,15 +60,6 @@ class CategoryLossTracker:
         """Masking-weight vector in (0, 1); uniform 0.5 when losses carry no spread."""
         return weights_from_losses(self.cum_loss, self.mu)
 
-    def state_dict(self) -> dict:
-        return {"beta": self.beta, "mu": self.mu, "cum_loss": self.cum_loss.copy()}
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "CategoryLossTracker":
-        tracker = cls(beta=state["beta"], mu=state["mu"])
-        tracker.cum_loss[:] = state["cum_loss"]
-        return tracker
-
 
 def weights_from_losses(cum_loss: np.ndarray, mu: float = 1.0) -> np.ndarray:
     """Standardize across categories, temper by mu, squash with a sigmoid.

@@ -8,9 +8,9 @@ are bit-reproducible and checkpoint resume continues the exact stream.
 
 from __future__ import annotations
 
+import json
 import math
 import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +36,7 @@ _TAG_BATCH = 1
 _TAG_MASK = 2
 _TAG_EVAL = 3
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CLIP_NORM = 1.0  # global gradient-norm cap
 
 
@@ -70,6 +70,9 @@ class ListSink:
 
     def on_snapshots(self, rows: list[dict]) -> None:
         self.snapshots.extend(rows)
+
+    def flush(self) -> None:
+        pass
 
 
 def fresh_state(model_cfg: ModelConfig, cfg: RunConfig) -> TrainState:
@@ -108,9 +111,12 @@ def make_batch(tokens, pos_ids, special, vocab, ratio, policy, weights, seed, st
 
 
 def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
-          sink=None, state: TrainState | None = None, checkpoint_dir=None,
-          checkpoint_extra: dict | None = None) -> TrainState:
-    """Run (or continue) training to cfg.train_T steps; returns the final state."""
+          sink=None, state: TrainState | None = None, checkpoint_dir=None) -> TrainState:
+    """Run (or continue) training to cfg.train_T steps; returns the final state.
+
+    The sink is flushed before each checkpoint is written, so a run killed
+    at any point has the rows of every step its latest checkpoint holds.
+    """
     cfg = cfg.resolved()
     cfg.validate()
     schedule_spec = cfg.schedule_spec()
@@ -122,12 +128,13 @@ def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, voca
     if sink is None:
         sink = ListSink()
     pad_id = vocab.pad_id
+    vocab_hash = vocab.content_hash()
     last_row: dict | None = None
 
     for t in range(state.step, T):
         if checkpoint_dir and cfg.train_checkpoint_every and t % cfg.train_checkpoint_every == 0:
-            save_checkpoint(checkpoint_path(checkpoint_dir, t), state, model_cfg,
-                            extra=checkpoint_extra)
+            sink.flush()
+            save_checkpoint(checkpoint_path(checkpoint_dir, t), state, model_cfg, vocab_hash)
         if cfg.ptw_snapshot_every and t % cfg.ptw_snapshot_every == 0:
             sink.on_snapshots(_snapshot_rows(state.tracker, t))
 
@@ -160,8 +167,8 @@ def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, voca
     if cfg.ptw_snapshot_every:
         sink.on_snapshots(_snapshot_rows(state.tracker, T))
     if checkpoint_dir:
-        save_checkpoint(checkpoint_path(checkpoint_dir, T), state, model_cfg,
-                        extra=checkpoint_extra)
+        sink.flush()
+        save_checkpoint(checkpoint_path(checkpoint_dir, T), state, model_cfg, vocab_hash)
     return state
 
 
@@ -169,36 +176,57 @@ def checkpoint_path(checkpoint_dir, step: int) -> str:
     return os.path.join(checkpoint_dir, f"step_{step:08d}.ckpt")
 
 
-def save_checkpoint(path, state: TrainState, model_cfg: ModelConfig, extra=None) -> None:
+def checkpoint_steps(checkpoint_dir) -> list[int]:
+    """Steps of the checkpoints in checkpoint_dir, ascending (none if it is missing)."""
+    if not os.path.isdir(checkpoint_dir):
+        return []
+    return sorted(int(name[len("step_"):-len(".ckpt")]) for name in os.listdir(checkpoint_dir)
+                  if name.startswith("step_") and name.endswith(".ckpt"))
+
+
+def save_checkpoint(path, state: TrainState, model_cfg: ModelConfig, vocab_hash: str) -> None:
+    """Write the state as consecutive .npy records: a JSON header, the tracker's
+    cum_loss, then the params, AdamW m and AdamW v in the header's name order."""
+    names = list(state.params)
+    header = {"version": CHECKPOINT_VERSION, "model_cfg": model_cfg.__dict__,
+              "vocab_hash": vocab_hash, "step": state.step, "masked_total": state.masked_total,
+              "t": state.opt.t, "beta": state.tracker.beta, "mu": state.tracker.mu,
+              "names": names}
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    blob = {
-        "version": CHECKPOINT_VERSION,
-        "model_cfg": model_cfg.__dict__.copy(),
-        "step": state.step,
-        "masked_total": state.masked_total,
-        "params": {k: v.copy() for k, v in state.params.items()},
-        "opt": state.opt.state_dict(),
-        "tracker": state.tracker.state_dict(),
-        "extra": dict(extra or {}),
-    }
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        pickle.dump(blob, f, protocol=pickle.HIGHEST_PROTOCOL)
+        np.save(f, np.array(json.dumps(header)))
+        np.save(f, state.tracker.cum_loss)
+        for arrays in (state.params, state.opt.m, state.opt.v):
+            for name in names:
+                np.save(f, arrays[name])
     os.replace(tmp, path)
 
 
-def load_checkpoint(path) -> tuple[TrainState, ModelConfig, dict]:
+def load_checkpoint(path) -> tuple[TrainState, ModelConfig, str]:
+    """(state, model config, vocabulary hash) of a file save_checkpoint wrote.
+
+    Nothing in the file is unpickled. A file that is not a whole checkpoint
+    of this version (truncated, an older pickled one, a foreign file) raises
+    a ValueError naming it.
+    """
     with open(path, "rb") as f:
-        blob = pickle.load(f)
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {blob.get('version')}")
-    model_cfg = ModelConfig(**blob["model_cfg"])
-    params = blob["params"]
-    opt = AdamW.from_state_dict(params, blob["opt"])
-    tracker = CategoryLossTracker.from_state_dict(blob["tracker"])
-    state = TrainState(params=params, opt=opt, tracker=tracker, step=int(blob["step"]),
-                       masked_total=int(blob["masked_total"]))
-    return state, model_cfg, blob["extra"]
+        try:
+            header = json.loads(np.load(f, allow_pickle=False).item())
+            if header["version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"version {header['version']}")
+            tracker = CategoryLossTracker(beta=header["beta"], mu=header["mu"])
+            tracker.cum_loss[:] = np.load(f, allow_pickle=False)
+            params, m, v = ({name: np.load(f, allow_pickle=False) for name in header["names"]}
+                            for _ in range(3))
+            opt = AdamW(params)
+            opt.t, opt.m, opt.v = header["t"], m, v
+            state = TrainState(params=params, opt=opt, tracker=tracker, step=header["step"],
+                               masked_total=header["masked_total"])
+            return state, ModelConfig(**header["model_cfg"]), header["vocab_hash"]
+        except (ValueError, EOFError, KeyError, TypeError, AttributeError) as err:
+            raise ValueError(f"{path} is not a version-{CHECKPOINT_VERSION} tvmask "
+                             f"checkpoint ({type(err).__name__}: {err})") from None
 
 
 def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,

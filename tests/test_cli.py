@@ -1,13 +1,17 @@
 import json
 import math
 import os
+import pickle
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+import tvmask
 from tvmask.cli import main
 from tvmask.corpus.synth import write_corpus
 from tvmask.postags import UPOS_TAGS
@@ -269,6 +273,69 @@ def test_train_resume_after_torn_metrics_line(workdir, tmp_path):
         assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
 
 
+def test_train_resume_refuses_metrics_gap(workdir, tmp_path, capsys):
+    # rows of steps the resumed checkpoint already holds are missing: resuming
+    # would leave a hole in metrics.jsonl, so nothing is touched
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    out = tmp_path / "run"
+    assert main(["train", cfg, "--out", str(out)]) == 0
+    os.remove(out / "checkpoints" / "step_00000024.ckpt")
+    for cut in (8, 11):  # the resume starts at the step-12 checkpoint
+        lines = (out / "metrics.jsonl").read_text().splitlines(keepends=True)
+        (out / "metrics.jsonl").write_text("".join(lines[:cut]))
+        before = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["train", cfg, "--out", str(out), "--resume"]) == 1, cut
+        err = capsys.readouterr().err
+        assert str(out / "metrics.jsonl") in err and "step 12" in err, (cut, err)
+        assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before, cut
+
+
+def _spawn_train(cfg, out, *extra):
+    """`tvmask train` in a child process pinned to one BLAS thread."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(tvmask.__file__))}
+    return subprocess.Popen([sys.executable, "-m", "tvmask.cli", "train", cfg, "--out", str(out),
+                             *extra], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+
+def test_train_resume_after_kill_is_bit_identical(workdir, tmp_path):
+    # a real SIGKILL the moment a checkpoint lands: the rows of every step it
+    # holds must be on disk, whatever the sink still buffered. The cadence of
+    # 130 steps falls between the sink's buffer flushes.
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir, **{
+        "mask.strategy": "ptw", "train.T": 600, "train.checkpoint_every": 130,
+        "ptw.snapshot_every": 10}))
+    ref = tmp_path / "ref"
+    proc = _spawn_train(cfg, ref)
+    err = proc.communicate(timeout=300)[1]
+    assert proc.returncode == 0, err
+    for kill_step in (130, 390):
+        run = tmp_path / f"run{kill_step}"
+        proc = _spawn_train(cfg, run)
+        landed = run / "checkpoints" / f"step_{kill_step:08d}.ckpt"
+        deadline = time.monotonic() + 300
+        while not landed.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, kill_step
+            time.sleep(0.001)
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL, kill_step  # killed mid-run
+        assert (run / "lock").exists()  # left by the killed run, reclaimed by the resume
+
+        resumed = _spawn_train(cfg, run, "--resume")
+        err = resumed.communicate(timeout=300)[1]
+        assert resumed.returncode == 0, err
+        assert not (run / "lock").exists()
+        for name in ("metrics.jsonl", "snapshots.jsonl"):
+            assert (run / name).read_bytes() == (ref / name).read_bytes(), (kill_step, name)
+        ckpts = sorted(os.listdir(ref / "checkpoints"))
+        assert sorted(os.listdir(run / "checkpoints")) == ckpts, kill_step
+        for name in ckpts:  # equal bytes: equal arrays, scalars and header
+            assert (run / "checkpoints" / name).read_bytes() == \
+                (ref / "checkpoints" / name).read_bytes(), (kill_step, name)
+        assert load_checkpoint(str(run / "checkpoints" / ckpts[-1]))[0].step == 600
+
+
 def test_train_bad_ptw_values_rejected_before_run_dir(workdir, tmp_path):
     for i, kv in enumerate([{"ptw.beta": 1.5}, {"ptw.beta": 0.0}, {"ptw.mu": 0.0},
                             {"ptw.mu": -1.0}, {"ptw.mu": 0.001}]):
@@ -475,6 +542,39 @@ def test_eval_moved_corpus_names_the_key(workdir, trained_run, tmp_path, capsys)
                  "--checkpoint", "0"]) == 1
     assert "corpus.prepared" in capsys.readouterr().err
     assert not (run2 / "eval_report.json").exists()
+
+
+class _MakesDir:
+    """Unpickling this runs os.mkdir: the stand-in for code a pickle can carry."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def test_damaged_checkpoint_refused(workdir, trained_run, tmp_path, capsys):
+    marker = tmp_path / "pickle_ran"
+    damage = {
+        "truncated": lambda data: data[: len(data) // 2],
+        "version-1 pickle": lambda data: pickle.dumps(
+            {"version": 1, "params": _MakesDir(str(marker))}),
+    }
+    for i, (kind, damaged) in enumerate(damage.items()):
+        run = tmp_path / f"run{i}"
+        shutil.copytree(trained_run, run)
+        ckpt = run / "checkpoints" / "step_00000024.ckpt"
+        ckpt.write_bytes(damaged(ckpt.read_bytes()))
+        for argv in (["eval", "--run", str(run), "--heldout", str(workdir / "heldout.txt"),
+                      "--checkpoint", "latest", "--out", str(tmp_path / "r.json")],
+                     ["train", str(run / "config.txt"), "--out", str(run), "--resume"]):
+            capsys.readouterr()
+            assert main(argv) == 1, (kind, argv[0])
+            err = capsys.readouterr().err
+            assert str(ckpt) in err and "Traceback" not in err, (kind, argv[0], err)
+        assert not (run / "lock").exists(), kind
+    assert not marker.exists()  # nothing in the file was unpickled
 
 
 def test_eval_ratio_outside_open_unit_interval_rejected(workdir, trained_run, tmp_path, capsys):

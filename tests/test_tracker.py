@@ -144,14 +144,3 @@ def test_snapshot_copy_semantics():
     assert rows1 == _snapshot_rows(tr, 1)
     assert [r["cum_loss"] for r in rows1] == tr.cum_loss.tolist()
     assert [r["weight"] for r in rows1] == tr.weights().tolist()
-
-
-def test_state_dict_roundtrip():
-    tr = CategoryLossTracker(beta=0.95, mu=2.0)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        tr.update(rng.uniform(0, 4, size=N_CATEGORIES))
-    clone = CategoryLossTracker.from_state_dict(tr.state_dict())
-    assert clone.beta == tr.beta and clone.mu == tr.mu
-    np.testing.assert_array_equal(clone.cum_loss, tr.cum_loss)
-    np.testing.assert_array_equal(clone.weights(), tr.weights())

@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from tvmask.corpus.synth import generate_sentences
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import ModelConfig, backward_masked, forward_masked, softmax_xent
-from tvmask.postags import N_CATEGORIES, pos_id
+from tvmask.postags import pos_id
 from tvmask.schedule import ScheduleKind, ScheduleSpec
 from tvmask.trainer import (
     ListSink,
@@ -129,11 +128,13 @@ def test_checkpoint_resume_identical(micro_data, tmp_path):
     full_state, full_sink = run_micro(micro_data, T=40)
 
     ckpt_dir = tmp_path / "ckpts"
+    vocab = micro_data[3]
     half_state, half_sink = run_micro(micro_data, T=20)
     save_checkpoint(str(ckpt_dir / "step_00000020.ckpt"), half_state,
-                    micro_cfg(micro_data[3]))
-    loaded, cfg_loaded, _ = load_checkpoint(str(ckpt_dir / "step_00000020.ckpt"))
-    assert cfg_loaded == micro_cfg(micro_data[3])
+                    micro_cfg(vocab), vocab.content_hash())
+    loaded, cfg_loaded, vocab_hash = load_checkpoint(str(ckpt_dir / "step_00000020.ckpt"))
+    assert cfg_loaded == micro_cfg(vocab)
+    assert vocab_hash == vocab.content_hash()
     resumed_state, resumed_sink = run_micro(micro_data, T=40, state=loaded)
 
     assert [r for r in full_sink.metrics if r["step"] >= 20] == resumed_sink.metrics
@@ -143,25 +144,25 @@ def test_checkpoint_resume_identical(micro_data, tmp_path):
     assert full_state.masked_total == resumed_state.masked_total
 
 
-def test_checkpoint_with_older_keys_resumes(micro_data, tmp_path):
-    # checkpoints from before the optimizer constants, the run seed and the
-    # tracker's category count and step counter were dropped from the file
-    # carry extra keys; the reader ignores them
-    full_state, full_sink = run_micro(micro_data, T=30)
-    half_state, _ = run_micro(micro_data, T=15)
-    path = tmp_path / "step_00000015.ckpt"
-    save_checkpoint(str(path), half_state, micro_cfg(micro_data[3]))
-    blob = pickle.loads(path.read_bytes())
-    blob["run_seed"] = 5
-    blob["tracker"]["n_categories"] = N_CATEGORIES
-    blob["tracker"]["step"] = 15
-    blob["opt"].update(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
-    path.write_bytes(pickle.dumps(blob))
-    loaded, _, _ = load_checkpoint(str(path))
-    resumed_state, resumed_sink = run_micro(micro_data, T=30, state=loaded)
-    assert [r for r in full_sink.metrics if r["step"] >= 15] == resumed_sink.metrics
-    for name in full_state.params:
-        np.testing.assert_array_equal(full_state.params[name], resumed_state.params[name])
+def test_checkpoint_roundtrip(micro_data, tmp_path):
+    # a ptw run with non-default beta and mu, so every array and scalar is non-trivial
+    vocab = micro_data[3]
+    state, _ = run_micro(micro_data, T=12, strategy="ptw", ptw_beta=0.95, ptw_mu=2.0)
+    path = str(tmp_path / "step_00000012.ckpt")
+    save_checkpoint(path, state, micro_cfg(vocab), vocab.content_hash())
+    loaded, cfg_loaded, vocab_hash = load_checkpoint(path)
+    assert cfg_loaded == micro_cfg(vocab)
+    assert vocab_hash == vocab.content_hash()
+    assert (loaded.step, loaded.masked_total, loaded.opt.t) == (12, state.masked_total, 12)
+    assert loaded.tracker.beta == 0.95 and loaded.tracker.mu == 2.0
+    np.testing.assert_array_equal(loaded.tracker.cum_loss, state.tracker.cum_loss)
+    np.testing.assert_array_equal(loaded.tracker.weights(), state.tracker.weights())
+    assert list(loaded.params) == list(state.params)
+    for name in state.params:
+        for mine, theirs in ((loaded.params, state.params), (loaded.opt.m, state.opt.m),
+                             (loaded.opt.v, state.opt.v)):
+            assert mine[name].dtype == theirs[name].dtype, name
+            np.testing.assert_array_equal(mine[name], theirs[name])
 
 
 def test_schedule_masking_nothing_at_step_0_rejected(micro_data):
