@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime abort.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import fcntl
 import json
 import logging
 import os
@@ -35,6 +35,8 @@ log = logging.getLogger("tvmask")
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+
+EVAL_REPORT = "eval_report.json"  # eval's default report, inside the run directory
 
 
 class CliError(Exception):
@@ -93,22 +95,31 @@ def cmd_prepare(args) -> int:
 class JsonlSink:
     """Writes metrics/snapshot rows to the run directory as JSONL.
 
-    A fresh run starts both files empty; a resumed run keeps the rows
-    before resume_step and appends after them, and refuses to start when
-    the kept metrics rows are not exactly steps 0 to resume_step - 1.
+    A fresh run starts both files empty. A resumed run keeps the rows the
+    run wrote before its checkpoint at resume_step and appends after them:
+    the metrics of steps 0 to resume_step - 1, and one snapshot row per
+    category at each multiple of snapshot_every below resume_step. When
+    either file's kept rows are not exactly those, it refuses to start and
+    changes neither file.
     """
 
-    def __init__(self, run_dir, resume_step=None):
+    def __init__(self, run_dir, resume_step=None, snapshot_every=0):
         self._metrics_path = os.path.join(run_dir, "metrics.jsonl")
         self._snapshots_path = os.path.join(run_dir, "snapshots.jsonl")
         mode = "w"
         if resume_step is not None:
-            metrics = _rows_before(self._metrics_path, resume_step)
-            if [row["step"] for row in metrics] != list(range(resume_step)):
-                raise CliError(f"{self._metrics_path} lacks rows of steps before the "
-                               f"checkpoint at step {resume_step}: cannot resume without a gap")
-            snapshots = _rows_before(self._snapshots_path, resume_step)
-            for path, rows in ((self._metrics_path, metrics), (self._snapshots_path, snapshots)):
+            snapshot_steps = range(0, resume_step, snapshot_every) if snapshot_every else ()
+            expected = {self._metrics_path: list(range(resume_step)),
+                        self._snapshots_path: [t for t in snapshot_steps for _ in UPOS_TAGS]}
+            kept = {}
+            for path, steps in expected.items():
+                rows = _read_jsonl(path) if os.path.exists(path) else []
+                kept[path] = [row for row in rows if row["step"] < resume_step]
+                if [row["step"] for row in kept[path]] != steps:
+                    raise CliError(f"{path} does not hold exactly the rows of the steps before "
+                                   f"the checkpoint at step {resume_step}: cannot resume "
+                                   f"without a gap")
+            for path, rows in kept.items():
                 with open(path, "w", encoding="utf-8") as f:
                     f.writelines(json.dumps(row) + "\n" for row in rows)
             mode = "a"
@@ -148,14 +159,6 @@ def _read_jsonl(path) -> list[dict]:
     return [json.loads(line) for line in lines if line.strip()]
 
 
-def _rows_before(path, resume_step: int) -> list[dict]:
-    """Rows of a JSONL file (none if it is missing) before resume_step; the
-    resumed run re-emits the rest."""
-    if not os.path.exists(path):
-        return []
-    return [row for row in _read_jsonl(path) if row["step"] < resume_step]
-
-
 def _load_prepared(prepared, source: str):
     """(tokens, pos_ids, special, vocab, meta) of a prepared corpus, its
     vocabulary checked against the hash in its meta.json. ``source`` names
@@ -169,48 +172,42 @@ def _load_prepared(prepared, source: str):
     return tokens, pos_ids, special, vocab, meta
 
 
+def _run_config(run_dir) -> RunConfig:
+    """The config of an existing run directory, read from its config.txt."""
+    path = os.path.join(run_dir, "config.txt")
+    if not os.path.exists(path):
+        raise CliError(f"not a run directory (no config.txt): {run_dir}")
+    return cfgmod.load(path)
+
+
 def _check_same_run(cfg: RunConfig, run_dir) -> None:
     """A resume must continue the run's own config; the corpus path may move
     (the vocabulary hash guards the corpus) and so may the run directory."""
-    saved = cfgmod.load(os.path.join(run_dir, "config.txt"))
-    changed = [key for key in cfgmod.differing_keys(saved, cfg)
+    changed = [key for key in cfgmod.differing_keys(_run_config(run_dir), cfg)
                if key not in ("corpus.prepared", "run.out")]
     if changed:
         raise CliError(f"config does not match the run's config.txt: {', '.join(changed)} "
                        f"differ (to change them, start a new run)")
 
 
-def _acquire_lock(run_dir):
-    """Create the run's lock file holding this process's pid. A lock whose
-    pid no longer exists was left by a killed run and is reclaimed once."""
-    lock_path = os.path.join(run_dir, "lock")
-    for attempt in range(2):
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _lock_is_stale(lock_path):
-                raise CliError(f"run directory {run_dir} is locked by another process "
-                               f"(lock file {lock_path})") from None
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(lock_path)
-    os.write(fd, str(os.getpid()).encode())
-    os.close(fd)
-    return lock_path
+def _acquire_lock(lock_path) -> int:
+    """An fd holding an exclusive flock on lock_path, created if missing.
 
-
-def _lock_is_stale(lock_path) -> bool:
-    """True only when the lock names a pid that no process has."""
+    The kernel drops the flock when its process ends, however it ends, so a
+    lock file left by a killed run blocks nothing and its content is never
+    read. A holder that unlinked the file between our open and our flock
+    leaves us locking a dead inode, which counts as held too.
+    """
+    fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
     try:
-        with open(lock_path, encoding="utf-8") as f:
-            pid = int(f.read())
-        if pid > 0:
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):  # unreadable, or another user's live pid
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        if os.path.samestat(os.fstat(fd), os.stat(lock_path)):
+            return fd
+    except (BlockingIOError, FileNotFoundError):
         pass
-    return False
+    os.close(fd)
+    raise CliError(f"run directory {os.path.dirname(lock_path)} is locked by another process "
+                   f"(lock file {lock_path})")
 
 
 def cmd_train(args) -> int:
@@ -235,24 +232,24 @@ def cmd_train(args) -> int:
         raise CliError("no output directory (set run.out or pass --out)")
 
     ckpt_dir = os.path.join(run_dir, "checkpoints")
+    has_run = os.path.exists(os.path.join(run_dir, "config.txt"))
     resume_step = None
-    if os.path.exists(os.path.join(run_dir, "config.txt")):
-        if args.resume:
-            steps = checkpoint_steps(ckpt_dir)
-            if not steps:
-                raise CliError(f"{run_dir} has no checkpoint to resume from")
-            resume_step = steps[-1]
-            _check_same_run(cfg, run_dir)
-        elif not args.force:
-            raise CliError(f"{run_dir} already contains a run (use --force or --resume)")
-    elif args.resume:
-        raise CliError(f"{run_dir} holds no run (no config.txt): nothing to resume")
+    if args.resume:
+        if not has_run:
+            raise CliError(f"{run_dir} holds no run (no config.txt): nothing to resume")
+        steps = checkpoint_steps(ckpt_dir)
+        if not steps:
+            raise CliError(f"{run_dir} has no checkpoint to resume from")
+        resume_step = steps[-1]
+        _check_same_run(cfg, run_dir)
+    elif (has_run or checkpoint_steps(ckpt_dir)) and not args.force:
+        raise CliError(f"{run_dir} already contains a run (use --force or --resume)")
     tokens, pos_ids, special, vocab, meta = _load_prepared(cfg.corpus_prepared, "corpus.prepared")
     model_cfg = cfg.model_config(vocab.size, int(meta["L_seq"]))
     os.makedirs(ckpt_dir, exist_ok=True)
 
-    lock = _acquire_lock(run_dir)
-    sink = None
+    lock_path = os.path.join(run_dir, "lock")
+    lock_fd = _acquire_lock(lock_path)
     try:
         state = None
         if resume_step is not None:
@@ -261,22 +258,27 @@ def cmd_train(args) -> int:
                 raise CliError("checkpoint was trained with a different vocabulary")
             if ckpt_cfg != model_cfg:
                 raise CliError("checkpoint model config does not match run config")
-        elif args.force:  # no checkpoint of the replaced run may survive into this one
+        else:  # no checkpoint or report of a replaced run may survive into this one
             for step in checkpoint_steps(ckpt_dir):
                 os.remove(checkpoint_path(ckpt_dir, step))
+            if os.path.exists(os.path.join(run_dir, EVAL_REPORT)):
+                os.remove(os.path.join(run_dir, EVAL_REPORT))
+        sink = JsonlSink(run_dir, resume_step, cfg.ptw_snapshot_every)
         cfgmod.save(cfg, os.path.join(run_dir, "config.txt"))
-        sink = JsonlSink(run_dir, resume_step=resume_step)
-        train(cfg, model_cfg, tokens, pos_ids, special, vocab,
-              sink=sink, state=state, checkpoint_dir=ckpt_dir)
-    except TrainAbort as err:
-        print(f"aborted: {err}", file=sys.stderr)
-        if err.last_metrics:
-            print(f"last metrics: {json.dumps(err.last_metrics)}", file=sys.stderr)
-        return EXIT_RUNTIME
+        try:
+            try:
+                train(cfg, model_cfg, tokens, pos_ids, special, vocab,
+                      sink=sink, state=state, checkpoint_dir=ckpt_dir)
+            finally:
+                sink.close()
+        except (TrainAbort, OSError, ValueError) as err:  # training had started
+            print(f"aborted: {err}", file=sys.stderr)
+            if isinstance(err, TrainAbort) and err.last_metrics:
+                print(f"last metrics: {json.dumps(err.last_metrics)}", file=sys.stderr)
+            return EXIT_RUNTIME
     finally:
-        if sink is not None:
-            sink.close()
-        os.unlink(lock)
+        os.unlink(lock_path)
+        os.close(lock_fd)
     print(f"run complete: {run_dir} ({cfg.train_T} steps)")
     return EXIT_OK
 
@@ -291,11 +293,9 @@ def cmd_export_schedule(args) -> int:
 
 def cmd_export(args) -> int:
     run_dir = args.run
-    cfg_path = os.path.join(run_dir, "config.txt")
-    if not os.path.exists(cfg_path):
-        raise CliError(f"not a run directory (no config.txt): {run_dir}")
+    cfg = _run_config(run_dir)
     if args.what == "schedule":
-        _write_schedule_csv(args.out, cfgmod.load(cfg_path).schedule_spec())
+        _write_schedule_csv(args.out, cfg.schedule_spec())
         return EXIT_OK
     snapshots_path = os.path.join(run_dir, "snapshots.jsonl")
     if not os.path.exists(snapshots_path):
@@ -326,10 +326,7 @@ def _write_csv(out_path, header, rows) -> None:
 
 def cmd_eval(args) -> int:
     run_dir = args.run
-    cfg_path = os.path.join(run_dir, "config.txt")
-    if not os.path.exists(cfg_path):
-        raise CliError(f"not a run directory (no config.txt): {run_dir}")
-    *_, vocab, meta = _load_prepared(cfgmod.load(cfg_path).corpus_prepared, "corpus.prepared")
+    *_, vocab, meta = _load_prepared(_run_config(run_dir).corpus_prepared, "corpus.prepared")
     tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout),
                                               int(meta["L_seq"]), vocab)
 
@@ -358,7 +355,7 @@ def cmd_eval(args) -> int:
         g = result["groups"]
         print(f"step {step}: overall {result['overall']:.4f}  "
               f"function {g['function']:.4f}  non_function {g['non_function']:.4f}")
-    out = args.out or os.path.join(run_dir, "eval_report.json")
+    out = args.out or os.path.join(run_dir, EVAL_REPORT)
     with open(out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import LOSS_MODES, ModelConfig
-from tvmask.schedule import ScheduleKind, ScheduleSpec, default_floor, ratio_at
+from tvmask.schedule import ScheduleKind, ScheduleSpec, default_floor, ratio_at, shape
 from tvmask.tracker import CategoryLossTracker
 
 
@@ -80,7 +80,7 @@ class RunConfig:
         """Build the library objects this config describes; each one's own
         checks are the rules, reported as a ConfigError naming the keys."""
         _build("schedule.kind", ScheduleKind, self.schedule_kind)
-        _build("lr.shape", ScheduleKind, self.lr_shape or self.schedule_kind)
+        lr_shape = _build("lr.shape", ScheduleKind, self.lr_shape or self.schedule_kind)
         if self.ptw_loss_mode not in LOSS_MODES:
             raise ConfigError(f"unknown ptw.loss_mode {self.ptw_loss_mode!r}")
         if len(self.mask_corrupt_split) != 3:
@@ -96,6 +96,9 @@ class RunConfig:
         if ratio_at(spec, 0) == 0.0:
             raise ConfigError(f"schedule.kind = {self.schedule_kind} masks no token at step 0 "
                               f"with schedule.floor = {spec.floor}; set schedule.floor > 0")
+        if shape(lr_shape, 0.0) == 0.0:
+            raise ConfigError(f"lr.shape = {lr_shape.value} drops the learning rate to 0 when "
+                              f"warmup ends; pick a shape that starts at its peak")
 
 
 def _build(keys: str, make, *args):

@@ -29,7 +29,7 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
             if start > 0:
                 piece = CONTINUATION + piece
             pid = vocab.token_to_id.get(piece)
-            if pid is not None:
+            if pid is not None and pid >= vocab.n_reserved:  # never a reserved token
                 found = pid
                 break
             end -= 1

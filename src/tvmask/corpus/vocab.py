@@ -79,6 +79,9 @@ def build_vocab(sentences: Iterable[list[tuple[str, int]]], vocab_size: int) -> 
                 piece = word[i:j] if i == 0 else CONTINUATION + word[i:j]
                 piece_freq[piece] += freq
 
+    for reserved in RESERVED_TOKENS:  # a corpus word spelled [PAD] is not the pad token
+        piece_freq.pop(reserved, None)
+
     def by_count(items):
         return sorted(items, key=lambda kv: (-kv[1], kv[0]))
 

@@ -1,3 +1,5 @@
+import errno
+import fcntl
 import json
 import math
 import os
@@ -12,8 +14,10 @@ import numpy as np
 import pytest
 
 import tvmask
+from tvmask import trainer
 from tvmask.cli import main
 from tvmask.corpus.synth import write_corpus
+from tvmask.corpus.vocab import Vocabulary
 from tvmask.postags import UPOS_TAGS
 from tvmask.trainer import load_checkpoint
 
@@ -110,6 +114,22 @@ def test_prepare_missing_file_exit_code(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_prepare_reserved_token_words(tmp_path):
+    # corpus words spelled like reserved tokens are plain words: a frequent
+    # [PAD] would enter the vocabulary a second time, and rare [MASK], [CLS],
+    # [SEP] and [UNK] words would become those tokens in the packed rows
+    corpus = tmp_path / "reserved.txt"
+    corpus.write_text("\n".join(["[PAD]\tX\nthe\tDET\ncat\tNOUN\n"] * 30 +
+                                ["[MASK]\tNOUN\n[CLS]\tX\n[SEP]\tX\n[UNK]\tX\nsat\tVERB\n"]),
+                      encoding="utf-8")
+    out = tmp_path / "prep"
+    assert main(["prepare", "--corpus", str(corpus), "--out", str(out),
+                 "--vocab-size", "48", "--L-seq", "16"]) == 0
+    body = np.load(out / "tokens.npy")[~np.load(out / "special.npy")]
+    v = Vocabulary.load(out / "vocab.txt")
+    assert not np.isin(body, [v.pad_id, v.cls_id, v.sep_id, v.mask_id]).any()
+
+
 def test_prepare_refuses_overwrite(tmp_path):
     corpus = tmp_path / "c.txt"
     write_corpus(corpus, 2000, 4)
@@ -141,22 +161,32 @@ def test_train_refuses_existing_run(workdir, tmp_path, capsys):
     assert main(["train", cfg, "--out", out, "--force"]) == 0
 
 
-def test_train_force_starts_fresh_run(workdir, tmp_path):
+def test_train_force_starts_fresh_run(workdir, tmp_path, capsys):
     old = write_cfg(tmp_path / "old.cfg", micro_config(workdir))
     new = write_cfg(tmp_path / "new.cfg", micro_config(
         workdir, **{"train.T": 10, "train.checkpoint_every": 5}))
-    out, ref = tmp_path / "run", tmp_path / "ref"
+    out, ref, stray = tmp_path / "run", tmp_path / "ref", tmp_path / "stray"
     assert main(["train", old, "--out", str(out)]) == 0
-    assert main(["train", new, "--out", str(out), "--force"]) == 0
+    assert main(["eval", "--run", str(out), "--heldout", str(workdir / "heldout.txt"),
+                 "--checkpoint", "latest"]) == 0
+    # a directory holding another run's checkpoints but no config.txt holds a run too
+    shutil.copytree(out / "checkpoints", stray / "checkpoints")
+    capsys.readouterr()
+    assert main(["train", new, "--out", str(stray)]) == 1
+    assert "--force" in capsys.readouterr().err
+    for run in (out, stray):
+        assert main(["train", new, "--out", str(run), "--force"]) == 0, run.name
     assert main(["train", new, "--out", str(ref)]) == 0
 
-    # only this run's rows and checkpoints remain
-    for name in ("metrics.jsonl", "snapshots.jsonl"):
-        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
-    steps = [json.loads(l)["step"] for l in (out / "metrics.jsonl").read_text().splitlines()]
-    assert steps == list(range(10))
-    assert sorted(os.listdir(out / "checkpoints")) == sorted(os.listdir(ref / "checkpoints")) \
-        == ["step_00000000.ckpt", "step_00000005.ckpt", "step_00000010.ckpt"]
+    # only this run's rows and checkpoints remain, and no report on the replaced run's
+    for run in (out, stray):
+        for name in ("metrics.jsonl", "snapshots.jsonl"):
+            assert (run / name).read_bytes() == (ref / name).read_bytes(), (run.name, name)
+        steps = [json.loads(l)["step"] for l in (run / "metrics.jsonl").read_text().splitlines()]
+        assert steps == list(range(10)), run.name
+        assert sorted(os.listdir(run / "checkpoints")) == sorted(os.listdir(ref / "checkpoints")) \
+            == ["step_00000000.ckpt", "step_00000005.ckpt", "step_00000010.ckpt"], run.name
+        assert not (run / "eval_report.json").exists(), run.name
 
     # a resume picks up this run's checkpoint, not an older run's
     os.remove(out / "checkpoints" / "step_00000010.ckpt")
@@ -205,15 +235,32 @@ def test_train_resume_refuses_changed_config(workdir, tmp_path, capsys):
                      "--corpus", str(workdir / "prep") + os.sep]) == 0, i
 
 
+def _hold_lock(path):
+    """An fd holding the flock a live run holds on its lock file. A second
+    open file description conflicts with it even within this process."""
+    fd = os.open(path, os.O_CREAT | os.O_WRONLY)
+    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    return fd
+
+
 def test_train_lock_refuses_concurrent(workdir, tmp_path, capsys):
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
-    out = tmp_path / "run"
-    out.mkdir()
-    # a live pid (this test's own) and an unreadable lock both hold the run
-    for holder in (str(os.getpid()), "not a pid", "99999999999999999999"):
-        (out / "lock").write_text(holder)
-        assert main(["train", cfg, "--out", str(out)]) == 1, holder
-        assert str(out / "lock") in capsys.readouterr().err, holder
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    # a live holder holds the run whatever its lock file says; an exited pid
+    # is how a run in another pid namespace or on another host looks from here
+    for i, content in enumerate((str(os.getpid()), "", str(child.pid))):
+        out = tmp_path / f"run{i}"
+        out.mkdir()
+        (out / "lock").write_text(content)
+        holder = _hold_lock(out / "lock")
+        try:
+            assert main(["train", cfg, "--out", str(out)]) == 1, content
+            assert str(out / "lock") in capsys.readouterr().err, content
+        finally:
+            os.close(holder)
+        assert main(["train", cfg, "--out", str(out)]) == 0, content
+        assert not (out / "lock").exists(), content
 
 
 def test_train_resume_reclaims_stale_lock(workdir, tmp_path, capsys):
@@ -221,14 +268,15 @@ def test_train_resume_reclaims_stale_lock(workdir, tmp_path, capsys):
     r1, r2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["train", cfg, "--out", str(r1)]) == 0
     assert main(["train", cfg, "--out", str(r2)]) == 0
-    # a run killed after its step-12 checkpoint leaves its lock behind
+    # a run killed after its step-12 checkpoint leaves its lock file behind
     os.remove(r2 / "checkpoints" / "step_00000024.ckpt")
-    (r2 / "lock").write_text(str(os.getpid()))
-    assert main(["train", cfg, "--out", str(r2), "--resume"]) == 1  # the holder is alive
-    assert "locked by another process" in capsys.readouterr().err
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    (r2 / "lock").write_text(str(child.pid))  # the holder has exited
+    holder = _hold_lock(r2 / "lock")
+    try:
+        assert main(["train", cfg, "--out", str(r2), "--resume"]) == 1  # the holder is alive
+        assert "locked by another process" in capsys.readouterr().err
+    finally:
+        os.close(holder)  # the holder has exited: its flock is gone, its file stays
+    assert (r2 / "lock").exists()
     assert main(["train", cfg, "--out", str(r2), "--resume"]) == 0
     assert not (r2 / "lock").exists()
     for name in ("metrics.jsonl", "snapshots.jsonl"):
@@ -291,6 +339,23 @@ def test_train_resume_refuses_metrics_gap(workdir, tmp_path, capsys):
         assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before, cut
 
 
+def test_train_resume_refuses_snapshots_gap(workdir, tmp_path, capsys):
+    # snapshots.jsonl cut to its step-0 rows lacks the step-6 snapshot that the
+    # step-12 checkpoint follows: resuming would lose it, so nothing is touched
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    out = tmp_path / "run"
+    assert main(["train", cfg, "--out", str(out)]) == 0
+    os.remove(out / "checkpoints" / "step_00000024.ckpt")
+    lines = (out / "snapshots.jsonl").read_text().splitlines(keepends=True)
+    (out / "snapshots.jsonl").write_text("".join(lines[:len(UPOS_TAGS)]))
+    before = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["train", cfg, "--out", str(out), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert str(out / "snapshots.jsonl") in err and "step 12" in err, err
+    assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 def _spawn_train(cfg, out, *extra):
     """`tvmask train` in a child process pinned to one BLAS thread."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -320,7 +385,7 @@ def test_train_resume_after_kill_is_bit_identical(workdir, tmp_path):
             time.sleep(0.001)
         proc.kill()
         assert proc.wait(timeout=60) == -signal.SIGKILL, kill_step  # killed mid-run
-        assert (run / "lock").exists()  # left by the killed run, reclaimed by the resume
+        assert (run / "lock").exists()  # left by the killed run; its flock died with it
 
         resumed = _spawn_train(cfg, run, "--resume")
         err = resumed.communicate(timeout=300)[1]
@@ -385,7 +450,7 @@ def test_train_schedule_masking_nothing_at_step_0_rejected(workdir, tmp_path, ca
         assert "schedule.floor" in capsys.readouterr().err, kind
         assert not out.exists(), kind
         floored = write_cfg(tmp_path / f"{kind}_floor.cfg", micro_config(
-            workdir, **{"schedule.kind": kind, "schedule.floor": 0.01}))
+            workdir, **{"schedule.kind": kind, "schedule.floor": 0.01, "lr.shape": "linear"}))
         assert main(["train", floored, "--out", str(out)]) == 0, kind
 
 
@@ -635,6 +700,26 @@ def test_synth_command(tmp_path):
 
 def test_usage_error_exit_code(capsys):
     assert main(["train"]) == 1  # missing required config argument
+
+
+def test_train_failure_after_start_exits_2(workdir, tmp_path, capsys, monkeypatch):
+    # a full disk at the step-12 checkpoint, and any ValueError raised in train()
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    save = trainer.save_checkpoint
+    for i, err in enumerate((OSError(errno.ENOSPC, "No space left on device"),
+                             ValueError("bad value mid-run"))):
+        def failing_save(path, state, *args, err=err):
+            if state.step == 12:
+                raise err
+            save(path, state, *args)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", failing_save)
+        out = tmp_path / f"run{i}"
+        capsys.readouterr()
+        assert main(["train", cfg, "--out", str(out)]) == 2, err
+        stderr = capsys.readouterr().err
+        assert "aborted" in stderr and "Traceback" not in stderr, stderr
+        assert not (out / "lock").exists(), err
 
 
 def test_runtime_abort_exit_code(workdir, tmp_path, capsys):

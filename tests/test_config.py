@@ -110,6 +110,8 @@ def test_validate_rejects_bad_values():
         "schedule.p = 0.7\n",
         "schedule.kind = cosine\nschedule.floor = 0.5\n",
         "schedule.kind = ascending\n",  # ratio 0 at step 0 at the default floor
+        "lr.shape = ascending\n",  # the learning rate drops to 0 when warmup ends
+        "lr.shape = ascend_then_decay\n",
     ):
         cfg = from_text(text)
         with pytest.raises(ConfigError):
@@ -121,6 +123,8 @@ def test_validate_error_names_the_key():
         ("schedule.p = 0.7\n", "schedule.p"),
         ("schedule.kind = ascending\n", "schedule.floor"),
         ("lr.shape = steep\n", "lr.shape"),
+        ("lr.shape = ascending\n", "lr.shape"),
+        ("lr.shape = ascend_then_decay\n", "lr.shape"),
         ("ptw.mu = 0.001\n", "ptw.mu"),
         ("ptw.beta = 1.5\n", "ptw.beta"),
     ):

@@ -170,7 +170,8 @@ def test_schedule_masking_nothing_at_step_0_rejected(micro_data):
     for kind in (ScheduleKind.ASCENDING, ScheduleKind.ASCEND_THEN_DECAY):
         with pytest.raises(ConfigError, match=r"schedule\.floor"):
             run_micro(micro_data, T=10, kind=kind, schedule_floor=0.0)
-    state, _ = run_micro(micro_data, T=3, kind=ScheduleKind.ASCENDING, schedule_floor=0.01)
+    state, _ = run_micro(micro_data, T=3, kind=ScheduleKind.ASCENDING, schedule_floor=0.01,
+                         lr_shape="linear")
     assert state.step == 3
 
 
