@@ -28,7 +28,7 @@ from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.postags import UPOS_TAGS
 from tvmask.schedule import ScheduleKind, ScheduleSpec, schedule_rows
 from tvmask.trainer import (TrainAbort, checkpoint_path, checkpoint_steps, eval_mlm,
-                            load_checkpoint, train)
+                            load_checkpoint, load_params, train)
 
 log = logging.getLogger("tvmask")
 
@@ -345,16 +345,17 @@ def cmd_eval(args) -> int:
         path = checkpoint_path(ckpt_dir, step)
         if not os.path.exists(path):
             raise CliError(f"checkpoint not found: {path}")
-        state, model_cfg, vocab_hash = load_checkpoint(path)
+        params, model_cfg, vocab_hash = load_params(path)
         if vocab_hash != vocab.content_hash():
             raise CliError(f"checkpoint {step} was trained with a different vocabulary")
-        result = eval_mlm(state.params, model_cfg, tokens, pos_ids, special, vocab,
+        result = eval_mlm(params, model_cfg, tokens, pos_ids, special, vocab,
                           ratio=args.ratio, seed=args.seed)
         result["step"] = step
         report["checkpoints"].append(result)
-        g = result["groups"]
+        g = {name: "n/a" if loss is None else f"{loss:.4f}"
+             for name, loss in result["groups"].items()}
         print(f"step {step}: overall {result['overall']:.4f}  "
-              f"function {g['function']:.4f}  non_function {g['non_function']:.4f}")
+              f"function {g['function']}  non_function {g['non_function']}")
     out = args.out or os.path.join(run_dir, EVAL_REPORT)
     with open(out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)

@@ -2,8 +2,10 @@
 
 Forward and backward passes are hand-written; the backward path only
 runs the output head at the masked positions, which is where nearly all
-of the vocabulary-projection cost lives. Everything is deterministic
-given (config, seed, inputs).
+of the vocabulary-projection cost lives. Every encoder linear layer, and
+each of its gradient products, is one 2-D GEMM over all B * L rows of a
+batch. Everything is deterministic given (config, seed, inputs) at a
+fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -167,20 +169,9 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B * L, nh * dh)
 
 
-def _seq_matmul(x, w, L):
-    """[B * L, n] @ w as [B, L, n] @ w: one GEMM per sequence of L rows.
-
-    One [B * L, n] GEMM would be faster, but BLAS picks its kernel by
-    matrix size and the two can round differently. Each product keeps
-    the shape it has had since the first release, so results stay the
-    same bit for bit; the q/k/v input gradients were always one GEMM.
-    """
-    return (x.reshape(-1, L, x.shape[1]) @ w).reshape(x.shape[0], -1)
-
-
-def _linear(x, w, b, L=None):
-    """x @ w + b with the bias added in place; per sequence of L rows if L is given."""
-    y = x @ w if L is None else _seq_matmul(x, w, L)
+def _linear(x, w, b):
+    """x @ w + b as one GEMM, with the bias added in place."""
+    y = x @ w
     y += b
     return y
 
@@ -188,9 +179,9 @@ def _linear(x, w, b, L=None):
 def encode(params, cfg: ModelConfig, token_ids, pad_mask):
     """Run the embedding and encoder stack; returns hidden states [B, L, H] and cache.
 
-    Activations are kept as [B * L, features]; the linear layers multiply
-    them one sequence at a time and the attention core works on per-head
-    views of them.
+    Activations are kept as [B * L, features]; each linear layer is one
+    [B * L, n] @ w GEMM, and the attention core works on per-head views
+    of them.
     """
     B, L = token_ids.shape
     H, nh = cfg.hidden_dim, cfg.heads
@@ -205,9 +196,9 @@ def encode(params, cfg: ModelConfig, token_ids, pad_mask):
     for i in range(cfg.layers):
         p = f"l{i}_"
         x_in = x
-        q = _split_heads(_linear(x, params[p + "wq"], params[p + "bq"], L), B, L, nh)
-        k = _split_heads(_linear(x, params[p + "wk"], params[p + "bk"], L), B, L, nh)
-        v = _split_heads(_linear(x, params[p + "wv"], params[p + "bv"], L), B, L, nh)
+        q = _split_heads(_linear(x, params[p + "wq"], params[p + "bq"]), B, L, nh)
+        k = _split_heads(_linear(x, params[p + "wk"], params[p + "bk"]), B, L, nh)
+        v = _split_heads(_linear(x, params[p + "wv"], params[p + "bv"]), B, L, nh)
         attn = np.matmul(q, k.transpose(0, 1, 3, 2))
         attn *= scale
         attn += attn_bias
@@ -215,12 +206,12 @@ def encode(params, cfg: ModelConfig, token_ids, pad_mask):
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(np.matmul(attn, v))
-        r1 = _linear(ctx, params[p + "wo"], params[p + "bo"], L)
+        r1 = _linear(ctx, params[p + "wo"], params[p + "bo"])
         r1 += x_in
         x1, ln1 = layernorm(r1, params[p + "ln1_g"], params[p + "ln1_b"])
-        ff_pre = _linear(x1, params[p + "w1"], params[p + "b1"], L)
+        ff_pre = _linear(x1, params[p + "w1"], params[p + "b1"])
         ff_act, ff_tanh = gelu_cached(ff_pre)
-        r2 = _linear(ff_act, params[p + "w2"], params[p + "b2"], L)
+        r2 = _linear(ff_act, params[p + "w2"], params[p + "b2"])
         r2 += x1
         x, ln2 = layernorm(r2, params[p + "ln2_g"], params[p + "ln2_b"])
         cache["layers"].append(
@@ -256,7 +247,6 @@ def backward_masked(params, cfg: ModelConfig, cache, dlogits):
     hc = cache["head"]
     out_w = params["tok_emb"].T if cfg.tied else params["out_w"]
     d_tout = dlogits @ out_w.T
-    d_outw = hc["t_out"].T @ dlogits
     grads["out_bias"] = dlogits.sum(axis=0)
     d_tpre, grads["head_ln_g"], grads["head_ln_b"] = layernorm_backward(
         d_tout, params["head_ln_g"], hc["head_ln"]
@@ -283,17 +273,17 @@ def backward_masked(params, cfg: ModelConfig, cache, dlogits):
         )
         grads[p + "w2"] = lc["ff_act"].T @ d_x1
         grads[p + "b2"] = d_x1.sum(axis=0)
-        d_ffpre = _seq_matmul(d_x1, params[p + "w2"].T, L)
+        d_ffpre = d_x1 @ params[p + "w2"].T
         d_ffpre *= gelu_grad(lc["ff_pre"], lc["ff_tanh"])
         grads[p + "w1"] = lc["x1"].T @ d_ffpre
         grads[p + "b1"] = d_ffpre.sum(axis=0)
-        d_x1 += _seq_matmul(d_ffpre, params[p + "w1"].T, L)
+        d_x1 += d_ffpre @ params[p + "w1"].T
         dx, grads[p + "ln1_g"], grads[p + "ln1_b"] = layernorm_backward(
             d_x1, params[p + "ln1_g"], lc["ln1"]
         )
         grads[p + "wo"] = lc["ctx"].T @ dx
         grads[p + "bo"] = dx.sum(axis=0)
-        d_ctx = _split_heads(_seq_matmul(dx, params[p + "wo"].T, L), B, L, nh)
+        d_ctx = _split_heads(dx @ params[p + "wo"].T, B, L, nh)
         attn = lc["attn"]
         d_scores = np.matmul(d_ctx, lc["v"].transpose(0, 1, 3, 2))
         d_v = np.matmul(attn.transpose(0, 1, 3, 2), d_ctx)
@@ -318,10 +308,10 @@ def backward_masked(params, cfg: ModelConfig, cache, dlogits):
     grads["pos_emb"] = d_pos
     d_tok = np.zeros_like(params["tok_emb"])
     np.add.at(d_tok, token_ids, d_emb)
-    if cfg.tied:
-        d_tok += d_outw.T
+    if cfg.tied:  # the output projection's gradient, in tok_emb's [V, H] layout
+        d_tok += dlogits.T @ hc["t_out"]
     else:
-        grads["out_w"] = d_outw
+        grads["out_w"] = hc["t_out"].T @ dlogits
     grads["tok_emb"] = d_tok
     return grads
 

@@ -8,6 +8,7 @@ are bit-reproducible and checkpoint resume continues the exact stream.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -203,39 +204,78 @@ def save_checkpoint(path, state: TrainState, model_cfg: ModelConfig, vocab_hash:
     os.replace(tmp, path)
 
 
-def load_checkpoint(path) -> tuple[TrainState, ModelConfig, str]:
-    """(state, model config, vocabulary hash) of a file save_checkpoint wrote.
+@contextlib.contextmanager
+def _read_checkpoint(path):
+    """Read a file save_checkpoint wrote up to its params; yields
+    (header, model config, cum_loss, params, read_moments).
 
-    Nothing in the file is unpickled. A file that is not a whole checkpoint
-    of this version (truncated, an older pickled one, a foreign file) raises
-    a ValueError naming it.
+    read_moments() reads the next params-shaped record group (AdamW m,
+    then v). Their records have the params' byte sizes, so the file's
+    size is checked here, before they are read. Nothing in the file is
+    unpickled. Any failure inside the block, or a file that is not a
+    whole checkpoint of this version (truncated, an older pickled one, a
+    foreign file), raises a ValueError naming the file.
     """
     with open(path, "rb") as f:
         try:
             header = json.loads(np.load(f, allow_pickle=False).item())
             if header["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"version {header['version']}")
-            tracker = CategoryLossTracker(beta=header["beta"], mu=header["mu"])
-            tracker.cum_loss[:] = np.load(f, allow_pickle=False)
-            params, m, v = ({name: np.load(f, allow_pickle=False) for name in header["names"]}
-                            for _ in range(3))
-            opt = AdamW(params)
-            opt.t, opt.m, opt.v = header["t"], m, v
-            state = TrainState(params=params, opt=opt, tracker=tracker, step=header["step"],
-                               masked_total=header["masked_total"])
-            return state, ModelConfig(**header["model_cfg"]), header["vocab_hash"]
+            model_cfg = ModelConfig(**header["model_cfg"])
+            cum_loss = np.load(f, allow_pickle=False)
+
+            def read_group():
+                return {name: np.load(f, allow_pickle=False) for name in header["names"]}
+
+            start = f.tell()
+            params = read_group()
+            whole = start + 3 * (f.tell() - start)
+            size = os.fstat(f.fileno()).st_size
+            if size != whole:
+                raise ValueError(f"{size} bytes, not the {whole} its params imply")
+            yield header, model_cfg, cum_loss, params, read_group
         except (ValueError, EOFError, KeyError, TypeError, AttributeError) as err:
             raise ValueError(f"{path} is not a version-{CHECKPOINT_VERSION} tvmask "
                              f"checkpoint ({type(err).__name__}: {err})") from None
 
 
+def load_checkpoint(path) -> tuple[TrainState, ModelConfig, str]:
+    """(state, model config, vocabulary hash) of a file save_checkpoint wrote.
+
+    Raises a ValueError naming the file if it is not a whole checkpoint
+    (see _read_checkpoint).
+    """
+    with _read_checkpoint(path) as (header, model_cfg, cum_loss, params, read_moments):
+        tracker = CategoryLossTracker(beta=header["beta"], mu=header["mu"])
+        tracker.cum_loss[:] = cum_loss
+        opt = AdamW(params)
+        opt.t, opt.m, opt.v = header["t"], read_moments(), read_moments()
+        state = TrainState(params=params, opt=opt, tracker=tracker, step=header["step"],
+                           masked_total=header["masked_total"])
+        return state, model_cfg, header["vocab_hash"]
+
+
+def load_params(path) -> tuple[dict, ModelConfig, str]:
+    """(params, model config, vocabulary hash) of a checkpoint, for evaluation.
+
+    The same reader as load_checkpoint, stopped before the AdamW moments;
+    it refuses the same files.
+    """
+    with _read_checkpoint(path) as (header, model_cfg, _, params, _):
+        return params, model_cfg, header["vocab_hash"]
+
+
 def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
-             ratio: float = 0.15, seed: int = 0, batch_size: int = 32) -> dict:
+             ratio: float = 0.15, seed: int = 0, batch_size: int = 8) -> dict:
     """Deterministic masked evaluation on a held-out packed corpus.
 
     Masks every sequence at the given fixed ratio in one plan drawn from
     a stream derived from ``seed``, so repeated calls give identical
-    numbers whatever the ``batch_size`` of the forward passes. Reports mean
+    numbers whatever the ``batch_size`` of the forward passes. The
+    forward passes run in chunks of 8 sequences by default: at the desk
+    shape (L=128, ff 512) a chunk's widest float32 activation is 2 MB, an
+    L2 cache's size rather than 8 MB at 32 sequences, and the activations
+    and cache each chunk holds are a quarter as large. Reports mean
     token loss per category plus the function / non-function / other
     group means (means over each group's present categories). The ratio
     must lie in (0, 1).

@@ -642,6 +642,19 @@ def test_damaged_checkpoint_refused(workdir, trained_run, tmp_path, capsys):
     assert not marker.exists()  # nothing in the file was unpickled
 
 
+def test_eval_group_without_masked_tokens(workdir, trained_run, tmp_path, capsys):
+    # one 3-word sentence of content words: the function group masks nothing
+    heldout = tmp_path / "tiny.txt"
+    heldout.write_text("dogs\tNOUN\nbark\tVERB\nloudly\tADV\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--run", str(trained_run), "--heldout", str(heldout),
+                 "--checkpoint", "latest", "--out", str(out)]) == 0
+    assert "function n/a" in capsys.readouterr().out
+    [entry] = json.loads(out.read_text())["checkpoints"]
+    assert entry["groups"]["function"] is None and entry["n_masked"] >= 1
+
+
 def test_eval_ratio_outside_open_unit_interval_rejected(workdir, trained_run, tmp_path, capsys):
     out = tmp_path / "report.json"
     for ratio in ("0", "1", "-0.5"):

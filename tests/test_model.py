@@ -230,9 +230,9 @@ def ref_adamw_step(params, grads, m_all, v_all, t, lr):
 def ref_forward_backward(params, cfg, ids, pad, mrows, mcols, labels):
     """Loss and gradients from the reference formulas, on [B, L, .] activations.
 
-    Every product has the operand shapes of the allocating implementation
-    the in-place one replaced: [B, L, n] @ w in the encoder, 2-D for the
-    head, the weight gradients and the q/k/v input gradient.
+    Every product is a 2-D GEMM: each encoder linear and its input
+    gradient on the [B * L, n] rows (``lin``), the head, the weight
+    gradients and the q/k/v input gradients as they come.
     """
     B, L = ids.shape
     H, F, nh, dh = cfg.hidden_dim, cfg.ff_dim, cfg.heads, cfg.hidden_dim // cfg.heads
@@ -240,23 +240,24 @@ def ref_forward_backward(params, cfg, ids, pad, mrows, mcols, labels):
     scale = dt(1.0 / math.sqrt(dh))
     split = lambda a: a.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
     merge = lambda a: a.transpose(0, 2, 1, 3).reshape(B, L, H)
+    lin = lambda a, w: (a.reshape(B * L, -1) @ w).reshape(B, L, -1)
     bias = np.where(pad[:, None, None, :], dt(net.ATTN_NEG), dt(0.0))
     emb = params["tok_emb"][ids] + params["pos_emb"][None, :L, :]
     x, emb_ln = ref_layernorm(emb, params["emb_ln_g"], params["emb_ln_b"])
     layers = []
     for i in range(cfg.layers):
         p = f"l{i}_"
-        q, k, v = (split(x @ params[p + "w" + n] + params[p + "b" + n]) for n in "qkv")
+        q, k, v = (split(lin(x, params[p + "w" + n]) + params[p + "b" + n]) for n in "qkv")
         scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale + bias
         scores -= scores.max(axis=-1, keepdims=True)
         attn = np.exp(scores)
         attn /= attn.sum(axis=-1, keepdims=True)
         ctx = merge(np.matmul(attn, v))
-        x1, ln1 = ref_layernorm(x + (ctx @ params[p + "wo"] + params[p + "bo"]),
+        x1, ln1 = ref_layernorm(x + (lin(ctx, params[p + "wo"]) + params[p + "bo"]),
                                 params[p + "ln1_g"], params[p + "ln1_b"])
-        ff_pre = x1 @ params[p + "w1"] + params[p + "b1"]
+        ff_pre = lin(x1, params[p + "w1"]) + params[p + "b1"]
         ff_act, ff_tanh = ref_gelu(ff_pre)
-        x_out, ln2 = ref_layernorm(x1 + (ff_act @ params[p + "w2"] + params[p + "b2"]),
+        x_out, ln2 = ref_layernorm(x1 + (lin(ff_act, params[p + "w2"]) + params[p + "b2"]),
                                    params[p + "ln2_g"], params[p + "ln2_b"])
         layers.append((x, q, k, v, attn, ctx, ln1, x1, ff_pre, ff_act, ff_tanh, ln2))
         x = x_out
@@ -287,14 +288,14 @@ def ref_forward_backward(params, cfg, ids, pad, mrows, mcols, labels):
             dx, params[p + "ln2_g"], ln2)
         grads[p + "w2"] = flat(ff_act).T @ flat(d_r2)
         grads[p + "b2"] = flat(d_r2).sum(axis=0)
-        d_ffpre = (d_r2 @ params[p + "w2"].T) * ref_gelu_grad(ff_pre, ff_tanh)
+        d_ffpre = lin(d_r2, params[p + "w2"].T) * ref_gelu_grad(ff_pre, ff_tanh)
         grads[p + "w1"] = flat(x1).T @ flat(d_ffpre)
         grads[p + "b1"] = flat(d_ffpre).sum(axis=0)
         d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = ref_layernorm_backward(
-            d_r2 + d_ffpre @ params[p + "w1"].T, params[p + "ln1_g"], ln1)
+            d_r2 + lin(d_ffpre, params[p + "w1"].T), params[p + "ln1_g"], ln1)
         grads[p + "wo"] = flat(ctx).T @ flat(d_r1)
         grads[p + "bo"] = flat(d_r1).sum(axis=0)
-        d_ctx = split(d_r1 @ params[p + "wo"].T)
+        d_ctx = split(lin(d_r1, params[p + "wo"].T))
         d_attn = np.matmul(d_ctx, v.transpose(0, 1, 3, 2))
         d_v = np.matmul(attn.transpose(0, 1, 3, 2), d_ctx)
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
@@ -384,8 +385,8 @@ def test_adamw_step_matches_reference(dtype):
 @pytest.mark.parametrize("tied", [True, False])
 @pytest.mark.parametrize("M", [1, 6])
 def test_forward_backward_match_reference(dtype, tied, M):
-    # at this toy shape one [B * L, n] GEMM rounds differently from the
-    # per-sequence products, so the comparison also pins the GEMM shapes
+    # at this toy shape per-sequence [L, n] @ w products round differently
+    # from one [B * L, n] GEMM, so the comparison also pins the GEMM shapes
     cfg = ModelConfig(layers=2, hidden_dim=16, heads=2, ff_dim=32, vocab_size=40,
                       L_seq=32, tied=tied, dtype=dtype)
     params = init_params(cfg, 4)

@@ -17,6 +17,7 @@ from tvmask.trainer import (
     eval_mlm,
     fresh_state,
     load_checkpoint,
+    load_params,
     lr_at,
     make_batch,
     save_checkpoint,
@@ -165,6 +166,35 @@ def test_checkpoint_roundtrip(micro_data, tmp_path):
             np.testing.assert_array_equal(mine[name], theirs[name])
 
 
+def test_load_params_reads_the_checkpoint_params(micro_data, tmp_path):
+    vocab = micro_data[3]
+    state, _ = run_micro(micro_data, T=12, strategy="ptw")
+    path = tmp_path / "step_00000012.ckpt"
+    save_checkpoint(str(path), state, micro_cfg(vocab), vocab.content_hash())
+    loaded, cfg_loaded, vocab_hash = load_checkpoint(str(path))
+    params, cfg_params, hash_params = load_params(str(path))
+    assert (cfg_params, hash_params) == (cfg_loaded, vocab_hash)
+    assert list(params) == list(loaded.params)
+    for name in params:
+        assert params[name].dtype == loaded.params[name].dtype, name
+        np.testing.assert_array_equal(params[name], loaded.params[name])
+
+    data = path.read_bytes()
+    damaged = {
+        "in the params": data[:len(data) // 5],
+        "in the moments": data[:len(data) // 2],
+        "one byte short": data[:-1],
+        "one byte long": data + b"\0",
+        "foreign": b"not a checkpoint\n" * 100,
+    }
+    for kind, content in damaged.items():
+        bad = tmp_path / f"{kind.replace(' ', '_')}.ckpt"
+        bad.write_bytes(content)
+        for load in (load_params, load_checkpoint):
+            with pytest.raises(ValueError, match=str(bad)):
+                load(str(bad))
+
+
 def test_schedule_masking_nothing_at_step_0_rejected(micro_data):
     # the library refuses what the CLI refuses, before any step is taken
     for kind in (ScheduleKind.ASCENDING, ScheduleKind.ASCEND_THEN_DECAY):
@@ -236,6 +266,21 @@ def test_eval_independent_of_batch_size(micro_data):
     state = fresh_state(cfg, RunConfig(run_seed=3))
     reports = [eval_mlm(state.params, cfg, tokens[:40], pos[:40], special[:40], vocab,
                         seed=4, batch_size=bs) for bs in (1, 7, 32)]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_eval_independent_of_chunk_size_at_desk_shape():
+    # the desk model's L and widths: each chunk's linears are one [chunk * L, n]
+    # GEMM, so equal reports need BLAS rows that do not depend on the row count
+    sentences = [[(f, pos_id(t)) for f, t in s] for s in generate_sentences(800, 7)]
+    vocab = build_vocab(iter(sentences), 1024)
+    tokens, pos, special = pack_to_arrays(sentences, 128, vocab)
+    assert tokens.shape[0] >= 12
+    cfg = ModelConfig(vocab_size=vocab.size, L_seq=128)
+    assert (cfg.hidden_dim, cfg.ff_dim) == (128, 512)
+    state = fresh_state(cfg, RunConfig(run_seed=2))
+    reports = [eval_mlm(state.params, cfg, tokens[:12], pos[:12], special[:12], vocab,
+                        seed=1, batch_size=bs) for bs in (1, 8, 32)]
     assert reports[0] == reports[1] == reports[2]
 
 
