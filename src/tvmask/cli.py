@@ -20,15 +20,15 @@ import numpy as np
 
 from tvmask import config as cfgmod
 from tvmask.config import ConfigError, RunConfig
-from tvmask.corpus.packing import load_packed, pack_to_arrays, save_packed
+from tvmask.corpus.packing import check_seq_len, load_packed, pack_to_arrays, save_packed
 from tvmask.corpus.reader import CorpusFormatError, load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
-from tvmask.corpus.vocab import Vocabulary, build_vocab
+from tvmask.corpus.vocab import Vocabulary, build_vocab, check_vocab_size
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.postags import UPOS_TAGS
 from tvmask.schedule import ScheduleKind, ScheduleSpec, schedule_rows
-from tvmask.trainer import (TrainAbort, checkpoint_path, checkpoint_steps, eval_mlm,
-                            load_checkpoint, load_params, train)
+from tvmask.trainer import (TrainAbort, check_eval_ratio, checkpoint_path, checkpoint_steps,
+                            eval_mlm, load_checkpoint, load_params, train)
 
 log = logging.getLogger("tvmask")
 
@@ -58,6 +58,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
+    check_seq_len(args.L_seq)
+    check_vocab_size(args.vocab_size)
     if os.path.exists(os.path.join(args.out, "meta.json")) and not args.force:
         raise CliError(f"{args.out} already contains a prepared corpus (use --force)")
     sentences = list(load_tagged_corpus(args.corpus))
@@ -212,8 +214,7 @@ def _acquire_lock(lock_path) -> int:
 
 def cmd_train(args) -> int:
     try:
-        with open(args.config, encoding="utf-8") as f:
-            cfg = cfgmod.from_text(f.read())
+        cfg = cfgmod.read(args.config)
     except FileNotFoundError:
         raise CliError(f"config file not found: {args.config}") from None
     # command-line overrides: paths, seed and T only; validated with the file below
@@ -325,6 +326,10 @@ def _write_csv(out_path, header, rows) -> None:
 # ---------------------------------------------------------------- eval
 
 def cmd_eval(args) -> int:
+    check_eval_ratio(args.ratio)
+    if args.checkpoint not in ("all", "latest") and not args.checkpoint.isdecimal():
+        raise CliError(f"--checkpoint must be a step number, 'all' or 'latest', "
+                       f"got {args.checkpoint!r}")
     run_dir = args.run
     *_, vocab, meta = _load_prepared(_run_config(run_dir).corpus_prepared, "corpus.prepared")
     tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout),

@@ -169,9 +169,15 @@ def from_text(text: str) -> RunConfig:
     return cfg
 
 
+def read(path) -> RunConfig:
+    """The config in a file, not yet validated. A leading UTF-8 byte-order
+    mark is ignored."""
+    with open(path, encoding="utf-8-sig") as f:
+        return from_text(f.read())
+
+
 def load(path) -> RunConfig:
-    with open(path, encoding="utf-8") as f:
-        cfg = from_text(f.read())
+    cfg = read(path)
     cfg.validate()
     return cfg
 

@@ -23,20 +23,31 @@ from tvmask.postags import X_ID
 MIN_SEQ_LEN = 8
 
 
+def check_seq_len(L_seq: int) -> None:
+    """Raise ValueError unless L_seq leaves room for [CLS], [SEP] and a body."""
+    if L_seq < MIN_SEQ_LEN:
+        raise ValueError(f"L_seq must be >= {MIN_SEQ_LEN}, got {L_seq}")
+
+
 def pack_to_arrays(
     sentences: Iterable[list[tuple[str, int]]], L_seq: int, vocab: Vocabulary
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tokenize (form, category) sentences and pack them into
-    (tokens, pos_ids, special) matrices of shape [n_sequences, L_seq]."""
-    if L_seq < MIN_SEQ_LEN:
-        raise ValueError(f"L_seq must be >= {MIN_SEQ_LEN}, got {L_seq}")
+    (tokens, pos_ids, special) matrices of shape [n_sequences, L_seq].
+
+    Each distinct form is tokenized once; its repeats reuse those piece ids.
+    """
+    check_seq_len(L_seq)
     capacity = L_seq - 2
     ids, cats = array("i"), array("b")  # every piece, in corpus order
     bodies: list[int] = []  # pieces per finished row
     fill = 0
+    form_pieces: dict[str, list[int]] = {}
     for sentence in sentences:
         for form, pos in sentence:
-            pieces = tokenize_word(form, vocab)
+            pieces = form_pieces.get(form)
+            if pieces is None:
+                pieces = form_pieces[form] = tokenize_word(form, vocab)
             n = len(pieces)
             ids.extend(pieces)
             cats.extend([pos] * n)

@@ -21,17 +21,28 @@ def load_tagged_corpus(path) -> Iterator[list[tuple[str, int]]]:
     """Yield sentences as lists of (form, category_id), in corpus order.
 
     Unknown tag names map to X with one warning per tag. Lines starting
-    with '#' are comments. Raises CorpusFormatError with the offending
-    line number on malformed records, and on a corpus with no sentences.
+    with '#' are comments, and a leading UTF-8 byte-order mark is ignored.
+    Raises CorpusFormatError with the offending line number on malformed
+    records, and on a corpus with no sentences.
+
+    Each distinct record line is split and checked once, at its first
+    occurrence; a repeat appends the record parsed then, so sentences
+    share their (form, category_id) tuples. Errors and warnings name the
+    same line numbers as parsing every line would.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"tagged corpus not found: {path}")
     warned: set[str] = set()
+    records: dict[str, tuple[str, int]] = {}  # record line -> its parsed record
     sentence: list[tuple[str, int]] = []
     n_sentences = 0
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n").rstrip("\r")
+            record = records.get(line)
+            if record is not None:
+                sentence.append(record)
+                continue
             if line.startswith("#"):
                 continue
             if not line.strip():
@@ -51,7 +62,8 @@ def load_tagged_corpus(path) -> Iterator[list[tuple[str, int]]]:
             if not is_known_tag(tag) and tag not in warned:
                 warned.add(tag)
                 log.warning("%s:%d: unknown POS tag %r mapped to X", path, lineno, tag)
-            sentence.append((form, pos_id(tag)))
+            record = records[line] = (form, pos_id(tag))
+            sentence.append(record)
     if sentence:
         yield sentence
         n_sentences += 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections import Counter
 from typing import Iterable
 
@@ -53,6 +54,12 @@ class Vocabulary:
         return h.hexdigest()
 
 
+def check_vocab_size(vocab_size: int) -> None:
+    """Raise ValueError unless vocab_size holds at least the reserved tokens."""
+    if vocab_size < len(RESERVED_TOKENS):
+        raise ValueError(f"vocab_size must be >= {len(RESERVED_TOKENS)}, got {vocab_size}")
+
+
 def build_vocab(sentences: Iterable[list[tuple[str, int]]], vocab_size: int) -> Vocabulary:
     """Build a subword vocabulary of at most vocab_size entries.
 
@@ -62,45 +69,43 @@ def build_vocab(sentences: Iterable[list[tuple[str, int]]], vocab_size: int) -> 
     greedy matching rarely falls back to [UNK]; the rest fill by
     descending count, ties broken lexicographically. Deterministic for a
     given corpus and size.
-    """
-    if vocab_size < len(RESERVED_TOKENS):
-        raise ValueError(f"vocab_size must be >= {len(RESERVED_TOKENS)}, got {vocab_size}")
-    word_freq: Counter[str] = Counter()
-    for sentence in sentences:
-        for form, _pos in sentence:
-            word_freq[form] += 1
 
-    piece_freq: Counter[str] = Counter()
+    Pieces are counted once per distinct word. Only the longer pieces
+    that fit are ranked: heapq.nsmallest equals a full sort's prefix.
+    """
+    check_vocab_size(vocab_size)
+    word_freq = Counter(form for sentence in sentences for form, _pos in sentence)
+
+    piece_freq: dict[str, int] = {}
     for word, freq in word_freq.items():
         n = len(word)
         for i in range(n):
             top = min(n, i + MAX_PIECE_LEN)
             for j in range(i + 1, top + 1):
                 piece = word[i:j] if i == 0 else CONTINUATION + word[i:j]
-                piece_freq[piece] += freq
+                piece_freq[piece] = piece_freq.get(piece, 0) + freq
 
     for reserved in RESERVED_TOKENS:  # a corpus word spelled [PAD] is not the pad token
         piece_freq.pop(reserved, None)
 
-    def by_count(items):
-        return sorted(items, key=lambda kv: (-kv[1], kv[0]))
+    def by_count(kv):
+        return -kv[1], kv[0]
 
-    singles_initial = by_count(
-        (p, c) for p, c in piece_freq.items() if len(p) == 1
+    singles_initial = sorted(
+        ((p, c) for p, c in piece_freq.items() if len(p) == 1), key=by_count
     )
-    singles_cont = by_count(
-        (p, c) for p, c in piece_freq.items() if p.startswith(CONTINUATION) and len(p) == 3
+    singles_cont = sorted(
+        ((p, c) for p, c in piece_freq.items() if p.startswith(CONTINUATION) and len(p) == 3),
+        key=by_count,
     )
-    rest = by_count(
-        (p, c)
-        for p, c in piece_freq.items()
-        if len(p) > 1 and not (p.startswith(CONTINUATION) and len(p) == 3)
+    room = vocab_size - len(RESERVED_TOKENS) - len(singles_initial) - len(singles_cont)
+    rest = heapq.nsmallest(
+        max(room, 0),
+        ((p, c)
+         for p, c in piece_freq.items()
+         if len(p) > 1 and not (p.startswith(CONTINUATION) and len(p) == 3)),
+        key=by_count,
     )
 
-    tokens = list(RESERVED_TOKENS)
-    for group in (singles_initial, singles_cont, rest):
-        for piece, _count in group:
-            if len(tokens) >= vocab_size:
-                return Vocabulary(tokens)
-            tokens.append(piece)
-    return Vocabulary(tokens)
+    pieces = [piece for piece, _count in singles_initial + singles_cont + rest]
+    return Vocabulary(list(RESERVED_TOKENS) + pieces[: vocab_size - len(RESERVED_TOKENS)])

@@ -265,6 +265,12 @@ def load_params(path) -> tuple[dict, ModelConfig, str]:
         return params, model_cfg, header["vocab_hash"]
 
 
+def check_eval_ratio(ratio: float) -> None:
+    """Raise ValueError unless the eval masking ratio lies in (0, 1)."""
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"eval ratio must be in (0, 1), got {ratio}")
+
+
 def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
              ratio: float = 0.15, seed: int = 0, batch_size: int = 8) -> dict:
     """Deterministic masked evaluation on a held-out packed corpus.
@@ -280,8 +286,7 @@ def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
     group means (means over each group's present categories). The ratio
     must lie in (0, 1).
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"eval ratio must be in (0, 1), got {ratio}")
+    check_eval_ratio(ratio)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_EVAL]))
     plan = build_batch(tokens, pos_ids, special, ratio, MaskPolicy(), vocab, rng)
     pad_mask = tokens == vocab.pad_id

@@ -665,6 +665,29 @@ def test_eval_ratio_outside_open_unit_interval_rejected(workdir, trained_run, tm
         assert not out.exists(), ratio
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("prepare", "--L-seq", "4", "L_seq must be >= 8, got 4"),
+    ("prepare", "--vocab-size", "3", "vocab_size must be >= 5, got 3"),
+    ("eval", "--ratio", "1.5", "eval ratio must be in (0, 1), got 1.5"),
+    ("eval", "--checkpoint", "abc", "--checkpoint must be a step number, 'all' or 'latest'"),
+])
+def test_bad_argument_rejected_before_any_file_is_read(trained_run, tmp_path, capsys,
+                                                       command, flag, value, message):
+    # each input file is broken too: only the argument's own error may be reported
+    if command == "prepare":
+        corpus = tmp_path / "malformed.txt"
+        corpus.write_text("the\tDET\nno_tag_here\n", encoding="utf-8")
+        argv = ["prepare", "--corpus", str(corpus), "--out", str(tmp_path / "prep")]
+    else:
+        argv = ["eval", "--run", str(trained_run), "--heldout", str(tmp_path / "missing.txt"),
+                "--out", str(tmp_path / "report.json")]
+    capsys.readouterr()
+    assert main(argv + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+    assert not (tmp_path / "prep").exists() and not (tmp_path / "report.json").exists()
+
+
 # ------------------------------------------------------------ misc
 
 def test_mask_debug_json(workdir, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from tvmask.config import ConfigError, RunConfig, from_text, to_text
+from tvmask.config import ConfigError, RunConfig, from_text, load, read, to_text
 
 
 def test_roundtrip_lossless():
@@ -53,6 +53,15 @@ def test_parse_comments_and_blanks():
     cfg = from_text("# comment\n\ntrain.T = 5\nrun.seed = 7\n")
     assert cfg.train_T == 5
     assert cfg.run_seed == 7
+
+
+def test_leading_byte_order_mark_ignored(tmp_path):
+    # Windows editors may start a UTF-8 file with a byte-order mark
+    text = "schedule.kind = cosine\ntrain.T = 50\n"
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read(path) == from_text(text)
+    assert load(path) == from_text(text)
 
 
 def test_unknown_key_rejected():

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from tvmask.corpus import packing
 from tvmask.corpus.packing import pack_to_arrays
 from tvmask.corpus.reader import CorpusFormatError, load_tagged_corpus
 from tvmask.corpus.synth import generate_sentences, write_corpus
@@ -11,6 +12,7 @@ from tvmask.corpus.vocab import RESERVED_TOKENS, Vocabulary, build_vocab
 from tvmask.postags import UPOS_TAGS, pos_id
 
 from packing_reference import reference_pack
+from vocab_reference import ranked_groups
 
 
 def write(tmp_path, text, name="corpus.txt"):
@@ -55,6 +57,37 @@ def test_reader_malformed_line_reports_lineno(tmp_path):
         list(load_tagged_corpus(path))
 
 
+def test_reader_ignores_leading_byte_order_mark(tmp_path, caplog):
+    # Windows editors may start a UTF-8 file with a byte-order mark
+    for text in ("the\tDET\ncat\tNOUN\n", "# doc 1\nthe\tDET\ncat\tNOUN\n"):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            sents = list(load_tagged_corpus(path))
+        assert sents == [[("the", pos_id("DET")), ("cat", pos_id("NOUN"))]], text
+        assert not caplog.records, text
+
+
+def test_reader_parses_repeated_lines_once(tmp_path, caplog):
+    text = "blorp\tFOO\nthe\tDET\n\n# blorp\tFOO\nthe\tDET\nblorp\tFOO\n\nzap\tFOO\r\nthe\tDET\n"
+    path = write(tmp_path, text)
+    with caplog.at_level(logging.WARNING):
+        sents = list(load_tagged_corpus(path))
+    x, det = pos_id("X"), pos_id("DET")
+    assert sents == [[("blorp", x), ("the", det)], [("the", det), ("blorp", x)],
+                     [("zap", x), ("the", det)]]
+    assert sents[1][0] is sents[0][1] and sents[1][1] is sents[0][0]  # records are shared
+    warnings = [rec.getMessage() for rec in caplog.records]
+    assert len(warnings) == 1 and ":1:" in warnings[0] and "FOO" in warnings[0]
+
+
+def test_reader_repeated_malformed_line_fails_at_first(tmp_path):
+    path = write(tmp_path, "ok\tNOUN\n\nno_tag_here\nok\tNOUN\nno_tag_here\n")
+    with pytest.raises(CorpusFormatError, match=":3:"):
+        list(load_tagged_corpus(path))
+
+
 def test_reader_empty_file_errors(tmp_path):
     path = write(tmp_path, "\n\n")
     with pytest.raises(CorpusFormatError, match="no sentences"):
@@ -89,6 +122,27 @@ def test_build_vocab_deterministic():
 def test_build_vocab_size_validation():
     with pytest.raises(ValueError):
         build_vocab(iter([[("a", 0)]]), 4)
+
+
+def test_build_vocab_matches_full_sort_reference():
+    # cuts inside the initial singles, the continuation singles and the rest,
+    # and above the total piece count
+    rng = np.random.default_rng(1080)
+    for seed in range(6):
+        sentences = [[(f, pos_id(t)) for f, t in s]
+                     for s in generate_sentences(int(rng.integers(200, 2000)), seed)]
+        sentences.append([("[PAD]", 0), ("[MASK]", 0)])
+        initial, cont, rest = ranked_groups(sentences)
+        want = list(RESERVED_TOKENS) + initial + cont + rest
+        n = len(RESERVED_TOKENS)
+        assert 0 < len(initial) // 2 and 0 < len(cont) // 2, seed
+        sizes = {n, n + len(initial) // 2, n + len(initial), n + len(initial) + len(cont) // 2,
+                 n + len(initial) + len(cont), n + len(initial) + len(cont) + 1,
+                 n + len(initial) + len(cont) + len(rest) // 2, len(want), len(want) + 100}
+        sizes |= {int(k) for k in rng.integers(n, len(want), size=4)}
+        for vocab_size in sorted(sizes):
+            assert build_vocab(iter(sentences), vocab_size).tokens == want[:vocab_size], \
+                (seed, vocab_size)
 
 
 def test_vocab_save_load_roundtrip(tmp_path):
@@ -253,6 +307,21 @@ def test_pack_matches_reference_on_oversized_words():
         if not any(sentences):
             sentences[0].append(("a", 0))
         assert_packs_like_reference(sentences, int(rng.integers(8, 17)), vocab)
+
+
+def test_pack_tokenizes_each_form_once(monkeypatch):
+    sentences = [[(f, pos_id(t)) for f, t in s] for s in generate_sentences(4000, 11)]
+    vocab = build_vocab(iter(sentences), 256)
+    calls = {}
+
+    def counting_tokenize_word(form, vocab):
+        calls[form] = calls.get(form, 0) + 1
+        return tokenize_word(form, vocab)
+
+    monkeypatch.setattr(packing, "tokenize_word", counting_tokenize_word)
+    assert_packs_like_reference(sentences, 16, vocab)
+    assert calls.keys() == {f for s in sentences for f, _ in s}
+    assert set(calls.values()) == {1}
 
 
 def test_pack_errors_match_reference():
