@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime abort.
 from __future__ import annotations
 
 import argparse
-import fcntl
 import json
 import logging
 import os
@@ -19,34 +18,27 @@ import sys
 import numpy as np
 
 from tvmask import config as cfgmod
-from tvmask.config import ConfigError, RunConfig
+from tvmask import rundir
 from tvmask.corpus.packing import check_seq_len, load_packed, pack_to_arrays, save_packed
-from tvmask.corpus.reader import CorpusFormatError, load_tagged_corpus
+from tvmask.corpus.reader import load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.vocab import Vocabulary, build_vocab, check_vocab_size
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.postags import UPOS_TAGS
+from tvmask.rundir import JsonlSink
 from tvmask.schedule import ScheduleKind, ScheduleSpec, schedule_rows
 from tvmask.trainer import (TrainAbort, check_eval_ratio, checkpoint_path, checkpoint_steps,
                             eval_mlm, load_checkpoint, load_params, train)
-
-log = logging.getLogger("tvmask")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
-EVAL_REPORT = "eval_report.json"  # eval's default report, inside the run directory
-
-
-class CliError(Exception):
-    """Usage or configuration problem; maps to exit code 1."""
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; we reserve that for aborts
         self.print_usage(sys.stderr)
-        raise CliError(message)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------- prepare
@@ -61,7 +53,7 @@ def cmd_prepare(args) -> int:
     check_seq_len(args.L_seq)
     check_vocab_size(args.vocab_size)
     if os.path.exists(os.path.join(args.out, "meta.json")) and not args.force:
-        raise CliError(f"{args.out} already contains a prepared corpus (use --force)")
+        raise ValueError(f"{args.out} already contains a prepared corpus (use --force)")
     sentences = list(load_tagged_corpus(args.corpus))
     vocab = build_vocab(iter(sentences), args.vocab_size)
     tokens, pos_ids, special = pack_to_arrays(sentences, args.L_seq, vocab)
@@ -94,129 +86,24 @@ def cmd_prepare(args) -> int:
 
 # ---------------------------------------------------------------- train
 
-class JsonlSink:
-    """Writes metrics/snapshot rows to the run directory as JSONL.
-
-    A fresh run starts both files empty. A resumed run keeps the rows the
-    run wrote before its checkpoint at resume_step and appends after them:
-    the metrics of steps 0 to resume_step - 1, and one snapshot row per
-    category at each multiple of snapshot_every below resume_step. When
-    either file's kept rows are not exactly those, it refuses to start and
-    changes neither file.
-    """
-
-    def __init__(self, run_dir, resume_step=None, snapshot_every=0):
-        self._metrics_path = os.path.join(run_dir, "metrics.jsonl")
-        self._snapshots_path = os.path.join(run_dir, "snapshots.jsonl")
-        mode = "w"
-        if resume_step is not None:
-            snapshot_steps = range(0, resume_step, snapshot_every) if snapshot_every else ()
-            expected = {self._metrics_path: list(range(resume_step)),
-                        self._snapshots_path: [t for t in snapshot_steps for _ in UPOS_TAGS]}
-            kept = {}
-            for path, steps in expected.items():
-                rows = _read_jsonl(path) if os.path.exists(path) else []
-                kept[path] = [row for row in rows if row["step"] < resume_step]
-                if [row["step"] for row in kept[path]] != steps:
-                    raise CliError(f"{path} does not hold exactly the rows of the steps before "
-                                   f"the checkpoint at step {resume_step}: cannot resume "
-                                   f"without a gap")
-            for path, rows in kept.items():
-                with open(path, "w", encoding="utf-8") as f:
-                    f.writelines(json.dumps(row) + "\n" for row in rows)
-            mode = "a"
-        self._metrics = open(self._metrics_path, mode, encoding="utf-8")
-        self._snapshots = open(self._snapshots_path, mode, encoding="utf-8")
-
-    def on_metrics(self, row):
-        self._metrics.write(json.dumps(row) + "\n")
-
-    def on_snapshots(self, rows):
-        for row in rows:
-            self._snapshots.write(json.dumps(row) + "\n")
-
-    def flush(self):
-        self._metrics.flush()
-        self._snapshots.flush()
-
-    def close(self):
-        self.flush()
-        self._metrics.close()
-        self._snapshots.close()
-
-
-def _read_jsonl(path) -> list[dict]:
-    """Rows of a JSONL file.
-
-    An unterminated last line that does not parse is a write torn by a
-    kill and is dropped; any other malformed line raises.
-    """
-    with open(path, encoding="utf-8") as f:
-        lines = f.readlines()
-    if lines and not lines[-1].endswith("\n"):
-        try:
-            json.loads(lines[-1])
-        except json.JSONDecodeError:
-            lines.pop()
-    return [json.loads(line) for line in lines if line.strip()]
-
-
 def _load_prepared(prepared, source: str):
     """(tokens, pos_ids, special, vocab, meta) of a prepared corpus, its
     vocabulary checked against the hash in its meta.json. ``source`` names
     the key or flag the path came from."""
     if not prepared or not os.path.isdir(prepared):
-        raise CliError(f"{source} does not point at a prepared corpus: {prepared!r}")
+        raise ValueError(f"{source} does not point at a prepared corpus: {prepared!r}")
     tokens, pos_ids, special, meta = load_packed(prepared)
     vocab = Vocabulary.load(os.path.join(prepared, "vocab.txt"))
     if vocab.content_hash() != meta["vocab_hash"]:
-        raise CliError(f"vocabulary in {prepared} does not match its meta.json hash")
+        raise ValueError(f"vocabulary in {prepared} does not match its meta.json hash")
     return tokens, pos_ids, special, vocab, meta
-
-
-def _run_config(run_dir) -> RunConfig:
-    """The config of an existing run directory, read from its config.txt."""
-    path = os.path.join(run_dir, "config.txt")
-    if not os.path.exists(path):
-        raise CliError(f"not a run directory (no config.txt): {run_dir}")
-    return cfgmod.load(path)
-
-
-def _check_same_run(cfg: RunConfig, run_dir) -> None:
-    """A resume must continue the run's own config; the corpus path may move
-    (the vocabulary hash guards the corpus) and so may the run directory."""
-    changed = [key for key in cfgmod.differing_keys(_run_config(run_dir), cfg)
-               if key not in ("corpus.prepared", "run.out")]
-    if changed:
-        raise CliError(f"config does not match the run's config.txt: {', '.join(changed)} "
-                       f"differ (to change them, start a new run)")
-
-
-def _acquire_lock(lock_path) -> int:
-    """An fd holding an exclusive flock on lock_path, created if missing.
-
-    The kernel drops the flock when its process ends, however it ends, so a
-    lock file left by a killed run blocks nothing and its content is never
-    read. A holder that unlinked the file between our open and our flock
-    leaves us locking a dead inode, which counts as held too.
-    """
-    fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        if os.path.samestat(os.fstat(fd), os.stat(lock_path)):
-            return fd
-    except (BlockingIOError, FileNotFoundError):
-        pass
-    os.close(fd)
-    raise CliError(f"run directory {os.path.dirname(lock_path)} is locked by another process "
-                   f"(lock file {lock_path})")
 
 
 def cmd_train(args) -> int:
     try:
         cfg = cfgmod.read(args.config)
     except FileNotFoundError:
-        raise CliError(f"config file not found: {args.config}") from None
+        raise ValueError(f"config file not found: {args.config}") from None
     # command-line overrides: paths, seed and T only; validated with the file below
     if args.corpus:
         cfg.corpus_prepared = args.corpus
@@ -230,42 +117,22 @@ def cmd_train(args) -> int:
     cfg = cfg.resolved()
     run_dir = cfg.run_out
     if not run_dir:
-        raise CliError("no output directory (set run.out or pass --out)")
+        raise ValueError("no output directory (set run.out or pass --out)")
 
-    ckpt_dir = os.path.join(run_dir, "checkpoints")
-    has_run = os.path.exists(os.path.join(run_dir, "config.txt"))
-    resume_step = None
-    if args.resume:
-        if not has_run:
-            raise CliError(f"{run_dir} holds no run (no config.txt): nothing to resume")
-        steps = checkpoint_steps(ckpt_dir)
-        if not steps:
-            raise CliError(f"{run_dir} has no checkpoint to resume from")
-        resume_step = steps[-1]
-        _check_same_run(cfg, run_dir)
-    elif (has_run or checkpoint_steps(ckpt_dir)) and not args.force:
-        raise CliError(f"{run_dir} already contains a run (use --force or --resume)")
+    resume_step = rundir.resume_step(cfg, args.resume, args.force)
     tokens, pos_ids, special, vocab, meta = _load_prepared(cfg.corpus_prepared, "corpus.prepared")
     model_cfg = cfg.model_config(vocab.size, int(meta["L_seq"]))
-    os.makedirs(ckpt_dir, exist_ok=True)
 
-    lock_path = os.path.join(run_dir, "lock")
-    lock_fd = _acquire_lock(lock_path)
-    try:
+    ckpt_dir = rundir.checkpoint_dir(run_dir)
+    with rundir.lock(run_dir):
         state = None
         if resume_step is not None:
             state, ckpt_cfg, vocab_hash = load_checkpoint(checkpoint_path(ckpt_dir, resume_step))
             if vocab_hash != meta["vocab_hash"]:
-                raise CliError("checkpoint was trained with a different vocabulary")
+                raise ValueError("checkpoint was trained with a different vocabulary")
             if ckpt_cfg != model_cfg:
-                raise CliError("checkpoint model config does not match run config")
-        else:  # no checkpoint or report of a replaced run may survive into this one
-            for step in checkpoint_steps(ckpt_dir):
-                os.remove(checkpoint_path(ckpt_dir, step))
-            if os.path.exists(os.path.join(run_dir, EVAL_REPORT)):
-                os.remove(os.path.join(run_dir, EVAL_REPORT))
-        sink = JsonlSink(run_dir, resume_step, cfg.ptw_snapshot_every)
-        cfgmod.save(cfg, os.path.join(run_dir, "config.txt"))
+                raise ValueError("checkpoint model config does not match run config")
+        sink = JsonlSink(cfg, resume_step)
         try:
             try:
                 train(cfg, model_cfg, tokens, pos_ids, special, vocab,
@@ -277,9 +144,6 @@ def cmd_train(args) -> int:
             if isinstance(err, TrainAbort) and err.last_metrics:
                 print(f"last metrics: {json.dumps(err.last_metrics)}", file=sys.stderr)
             return EXIT_RUNTIME
-    finally:
-        os.unlink(lock_path)
-        os.close(lock_fd)
     print(f"run complete: {run_dir} ({cfg.train_T} steps)")
     return EXIT_OK
 
@@ -293,18 +157,14 @@ def cmd_export_schedule(args) -> int:
 
 
 def cmd_export(args) -> int:
-    run_dir = args.run
-    cfg = _run_config(run_dir)
+    cfg = rundir.read_config(args.run)
     if args.what == "schedule":
         _write_schedule_csv(args.out, cfg.schedule_spec())
         return EXIT_OK
-    snapshots_path = os.path.join(run_dir, "snapshots.jsonl")
-    if not os.path.exists(snapshots_path):
-        raise CliError(f"run has no snapshots.jsonl: {run_dir}")
     column = "cum_loss" if args.what == "losses" else "weight"
+    rows = rundir.read_rows(args.run, rundir.SNAPSHOTS, ("category_name", column))
     _write_csv(args.out, ["step", "category", column],
-               ((row["step"], row["category_name"], repr(row[column]))
-                for row in _read_jsonl(snapshots_path)))
+               ((row["step"], row["category_name"], repr(row[column])) for row in rows))
     return EXIT_OK
 
 
@@ -328,31 +188,31 @@ def _write_csv(out_path, header, rows) -> None:
 def cmd_eval(args) -> int:
     check_eval_ratio(args.ratio)
     if args.checkpoint not in ("all", "latest") and not args.checkpoint.isdecimal():
-        raise CliError(f"--checkpoint must be a step number, 'all' or 'latest', "
+        raise ValueError(f"--checkpoint must be a step number, 'all' or 'latest', "
                        f"got {args.checkpoint!r}")
     run_dir = args.run
-    *_, vocab, meta = _load_prepared(_run_config(run_dir).corpus_prepared, "corpus.prepared")
+    *_, vocab, meta = _load_prepared(rundir.read_config(run_dir).corpus_prepared, "corpus.prepared")
     tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout),
                                               int(meta["L_seq"]), vocab)
 
-    ckpt_dir = os.path.join(run_dir, "checkpoints")
+    ckpt_dir = rundir.checkpoint_dir(run_dir)
     steps = checkpoint_steps(ckpt_dir)
     if args.checkpoint == "latest":
         steps = steps[-1:]
     elif args.checkpoint != "all":
         steps = [int(args.checkpoint)]
     if not steps:
-        raise CliError(f"no checkpoints found in {run_dir}")
+        raise ValueError(f"no checkpoints found in {run_dir}")
 
     report = {"run": os.path.abspath(run_dir), "heldout": os.path.abspath(args.heldout),
               "ratio": args.ratio, "seed": args.seed, "checkpoints": []}
     for step in steps:
         path = checkpoint_path(ckpt_dir, step)
         if not os.path.exists(path):
-            raise CliError(f"checkpoint not found: {path}")
+            raise ValueError(f"checkpoint not found: {path}")
         params, model_cfg, vocab_hash = load_params(path)
         if vocab_hash != vocab.content_hash():
-            raise CliError(f"checkpoint {step} was trained with a different vocabulary")
+            raise ValueError(f"checkpoint {step} was trained with a different vocabulary")
         result = eval_mlm(params, model_cfg, tokens, pos_ids, special, vocab,
                           ratio=args.ratio, seed=args.seed)
         result["step"] = step
@@ -361,7 +221,7 @@ def cmd_eval(args) -> int:
              for name, loss in result["groups"].items()}
         print(f"step {step}: overall {result['overall']:.4f}  "
               f"function {g['function']}  non_function {g['non_function']}")
-    out = args.out or os.path.join(run_dir, EVAL_REPORT)
+    out = args.out or os.path.join(run_dir, rundir.EVAL_REPORT)
     with open(out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -377,7 +237,7 @@ def cmd_mask_debug(args) -> int:
     n_sequences = tokens.shape[0]
     for row in rows:
         if not 0 <= row < n_sequences:
-            raise CliError(f"--rows {row} is outside the corpus's {n_sequences} sequences "
+            raise ValueError(f"--rows {row} is outside the corpus's {n_sequences} sequences "
                            f"(0 to {n_sequences - 1})")
     # uniform category weights; the random strategy ignores them
     plan = build_batch(tokens[rows], pos_ids[rows], special[rows], args.ratio,
@@ -424,8 +284,9 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", help="prepared corpus dir (overrides corpus.prepared)")
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int, help="total steps T (overrides train.T)")
-    p.add_argument("--resume", action="store_true", help="continue from the last checkpoint")
-    p.add_argument("--force", action="store_true", help="overwrite an existing run")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--resume", action="store_true", help="continue from the last checkpoint")
+    start.add_argument("--force", action="store_true", help="overwrite an existing run")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("export-schedule", help="dump (step, ratio) pairs as CSV")
@@ -448,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", default="all", help="step number, 'all' or 'latest'")
     p.add_argument("--ratio", type=float, default=0.15)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="report path (default <run>/eval_report.json)")
+    p.add_argument("--out", help=f"report path (default <run>/{rundir.EVAL_REPORT})")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("mask-debug", help="dump mask plans as JSON")
@@ -467,7 +328,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ConfigError, CorpusFormatError, FileNotFoundError, ValueError) as err:
+    except (FileNotFoundError, ValueError) as err:  # usage, config and corpus errors
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,7 +6,7 @@ a random non-reserved token, or kept as-is (all three still contribute
 to the loss). Special positions ([CLS]/[SEP]/[PAD]) are never selected.
 
 ``build_batch`` is the one entry point; a single sequence is a batch of
-one row.
+one row. Positions are drawn by ``sample_weighted``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from tvmask.masking import kernels
 
 ACTION_MASK = 0
 ACTION_RANDOM = 1
@@ -95,8 +93,41 @@ def build_batch(token_ids, pos_ids, special, ratio: float, policy: MaskPolicy, v
     weights = _position_weights(pos_ids, special,
                                 weights_by_category if policy.strategy == "ptw" else None)
     counts = target_count(ratio, np.count_nonzero(~special, axis=1))
-    selected = kernels.sample_weighted(weights, counts, rng)
+    selected = sample_weighted(weights, counts, rng)
     return _corrupt(token_ids, special, selected, policy, vocab, rng)
+
+
+def sample_weighted(weights: np.ndarray, counts: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Boolean [B, L] selection of counts[b] distinct positions in row b, with
+    the law of successive proportional draws: each draw picks position i with
+    probability proportional to weights[b, i] among those not yet taken.
+
+    weights: non-negative [B, L], 0 marks an ineligible position.
+    counts: [B] draws per row, each at most the row's eligible positions.
+
+    Gumbel-top-k (Efraimidis & Spirakis 2006; Kool et al. 2019): perturb each
+    log-weight with an independent standard Gumbel variable and keep the
+    counts[b] largest keys of row b; the selected set has exactly the law of
+    the sequential process. Keys are formed in log space so that even a
+    subnormal weight gets a finite key and beats every zero-weight position,
+    whose key is -inf.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if w.ndim != 2 or counts.shape != (w.shape[0],):
+        raise ValueError(f"weights must be [B, L] and counts [B], got {w.shape} and {counts.shape}")
+    eligible = np.count_nonzero(w, axis=1)
+    if np.any(counts < 0) or np.any(counts > eligible):
+        bad = int(np.argmax((counts < 0) | (counts > eligible)))
+        raise ValueError(f"cannot draw {counts[bad]} from {eligible[bad]} eligible positions")
+    with np.errstate(divide="ignore"):
+        keys = np.log(w)
+    keys += rng.gumbel(size=w.shape)
+    order = np.argsort(-keys, axis=1, kind="stable")
+    selected = np.zeros(w.shape, dtype=bool)
+    np.put_along_axis(selected, order, np.arange(w.shape[1]) < counts[:, None], axis=1)
+    return selected
 
 
 def _corrupt(token_ids, special, selected, policy: MaskPolicy, vocab, rng) -> BatchPlan:

@@ -60,7 +60,7 @@ class TrainState:
 
 
 class ListSink:
-    """Collects metrics in memory; the CLI uses a file-backed sink instead."""
+    """Collects metrics in memory; tvmask.rundir.JsonlSink writes them to a run directory."""
 
     def __init__(self):
         self.metrics: list[dict] = []

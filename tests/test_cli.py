@@ -174,7 +174,8 @@ def test_train_force_starts_fresh_run(workdir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", new, "--out", str(stray)]) == 1
     assert "--force" in capsys.readouterr().err
-    for run in (out, stray):
+    for run in (out, stray):  # a kill during a checkpoint save leaves a partial file
+        (run / "checkpoints" / "step_00000007.ckpt.tmp").write_bytes(b"partial")
         assert main(["train", new, "--out", str(run), "--force"]) == 0, run.name
     assert main(["train", new, "--out", str(ref)]) == 0
 
@@ -328,14 +329,20 @@ def test_train_resume_refuses_metrics_gap(workdir, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", cfg, "--out", str(out)]) == 0
     os.remove(out / "checkpoints" / "step_00000024.ckpt")
-    for cut in (8, 11):  # the resume starts at the step-12 checkpoint
-        lines = (out / "metrics.jsonl").read_text().splitlines(keepends=True)
-        (out / "metrics.jsonl").write_text("".join(lines[:cut]))
+    lines = (out / "metrics.jsonl").read_text().splitlines(keepends=True)
+    # the resume starts at the step-12 checkpoint; a row that is not an object
+    # with an integer step is refused by its line number
+    cases = {8: (lines[:8], "step 12"), 11: (lines[:11], "step 12"),
+             "{}": (lines[:5] + ["{}\n"] + lines[5:], "line 6"),
+             "[1]": (lines[:5] + ["[1]\n"] + lines[5:], "line 6")}
+    for cut, (kept, named) in cases.items():
+        (out / "metrics.jsonl").write_text("".join(kept))
         before = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         capsys.readouterr()
         assert main(["train", cfg, "--out", str(out), "--resume"]) == 1, cut
         err = capsys.readouterr().err
-        assert str(out / "metrics.jsonl") in err and "step 12" in err, (cut, err)
+        assert str(out / "metrics.jsonl") in err and named in err, (cut, err)
+        assert "Traceback" not in err, (cut, err)
         assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before, cut
 
 
@@ -475,6 +482,46 @@ def test_train_bad_config_exit_code(workdir, tmp_path, capsys):
     assert main(["train", cfg, "--out", str(tmp_path / "r")]) == 1
 
 
+def test_library_reads_run_without_cli(workdir, tmp_path):
+    # a run written by `tvmask train`, read through tvmask.rundir alone in a
+    # fresh interpreter
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    run = str(tmp_path / "run")
+    assert main(["train", cfg, "--out", run]) == 0
+    reader = (
+        "import sys\n"
+        "from tvmask import config, rundir\n"
+        f"cfg = config.read({cfg!r})\n"
+        f"cfg.run_out = {run!r}\n"
+        f"assert rundir.read_config({run!r}) == cfg.resolved()\n"
+        f"steps = [row['step'] for row in rundir.read_rows({run!r}, rundir.METRICS)]\n"
+        "assert steps == list(range(cfg.train_T)), steps\n"
+        "assert 'tvmask.cli' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tvmask.__file__))}
+    done = subprocess.run([sys.executable, "-c", reader], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_clock_targets_resolve(monkeypatch):
+    # perfbench times train steps at the return of tvmask.cli.JsonlSink.on_metrics
+    # and eval checkpoints at tvmask.cli.eval_mlm, and traces the dotted names in
+    # its TARGETS table; a name moved out of the module it points at reads 0
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                             "perfbench"))
+    import tracer
+
+    from tvmask import cli, rundir
+    assert tracer.resolve("tvmask.cli.JsonlSink.on_metrics") is not None
+    assert tracer.resolve("tvmask.cli.eval_mlm") is not None
+    assert cli.JsonlSink is rundir.JsonlSink  # the class train's sink is made from
+    absent = {dotted for _, dotted, _ in tracer.TARGETS if tracer.resolve(dotted) is None}
+    assert absent <= {"tvmask.cli.tokenize_aligned", "tvmask.trainer.build_plan",
+                      "tvmask.masking.kernels.sample_proportional",
+                      "tvmask.masking.plan.corrupt", "tvmask.trainer.dloss_dlogits"}, absent
+
+
 # ------------------------------------------------------------ export
 
 def test_export_schedule_endpoints(tmp_path):
@@ -513,7 +560,7 @@ def test_export_run_artifacts(workdir, tmp_path):
     assert len(srows) == 24 + 2  # header + T+1 rows
 
 
-def test_export_survives_torn_last_line(workdir, tmp_path):
+def test_export_survives_torn_last_line(workdir, tmp_path, capsys):
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
     run = tmp_path / "run"
     assert main(["train", cfg, "--out", str(run)]) == 0
@@ -524,10 +571,16 @@ def test_export_survives_torn_last_line(workdir, tmp_path):
     assert main(["export", "--run", str(run), "--what", "weights", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + data.count(b"\n") - 1
 
-    # a malformed line that is not the torn tail still fails
+    # a malformed line that is not the torn tail still fails, and so does a
+    # row without an integer step or without the exported column
     lines = data.decode().splitlines(keepends=True)
-    snapshots.write_text("".join(lines[:3]) + "{bad\n" + "".join(lines[3:]))
-    assert main(["export", "--run", str(run), "--what", "weights", "--out", str(out)]) == 1
+    for bad in ("{bad\n", "[1]\n", '{"step": "0", "category_name": "NOUN", "weight": 0.5}\n',
+                '{"step": 0, "category_name": "NOUN"}\n'):
+        snapshots.write_text("".join(lines[:3]) + bad + "".join(lines[3:]))
+        capsys.readouterr()
+        assert main(["export", "--run", str(run), "--what", "weights", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{snapshots} line 4" in err and "Traceback" not in err, (bad, err)
 
 
 def test_export_unknown_run(tmp_path, capsys):
@@ -736,6 +789,9 @@ def test_synth_command(tmp_path):
 
 def test_usage_error_exit_code(capsys):
     assert main(["train"]) == 1  # missing required config argument
+    # a resume cannot also start afresh: refused before the config file is read
+    assert main(["train", "missing.cfg", "--resume", "--force"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_train_failure_after_start_exits_2(workdir, tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvmask.masking.kernels import sample_weighted
+from tvmask.masking.plan import sample_weighted
 
 
 def random_case(rng, n_rows=64, n_max=128):

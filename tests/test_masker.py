@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tvmask.masking import ACTION_KEEP, MaskPolicy, build_batch, target_count
-from tvmask.masking.kernels import sample_weighted
+from tvmask.masking.plan import sample_weighted
 
 from conftest import make_sequence, plan_one
 
