@@ -19,10 +19,11 @@ import numpy as np
 
 from tvmask import config as cfgmod
 from tvmask import rundir
-from tvmask.corpus.packing import check_seq_len, load_packed, pack_to_arrays, save_packed
+from tvmask.corpus.packing import (check_out_dir, check_seq_len, load_packed, pack_to_arrays,
+                                   save_packed)
 from tvmask.corpus.reader import load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
-from tvmask.corpus.vocab import Vocabulary, build_vocab, check_vocab_size
+from tvmask.corpus.vocab import build_vocab, check_vocab_size
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.postags import UPOS_TAGS
 from tvmask.rundir import JsonlSink
@@ -52,33 +53,11 @@ def cmd_synth(args) -> int:
 def cmd_prepare(args) -> int:
     check_seq_len(args.L_seq)
     check_vocab_size(args.vocab_size)
-    if os.path.exists(os.path.join(args.out, "meta.json")) and not args.force:
-        raise ValueError(f"{args.out} already contains a prepared corpus (use --force)")
+    check_out_dir(args.out, args.force)
     sentences = list(load_tagged_corpus(args.corpus))
     vocab = build_vocab(iter(sentences), args.vocab_size)
     tokens, pos_ids, special = pack_to_arrays(sentences, args.L_seq, vocab)
-
-    os.makedirs(args.out, exist_ok=True)
-    vocab.save(os.path.join(args.out, "vocab.txt"))
-    counts = np.zeros(len(UPOS_TAGS), dtype=np.int64)
-    np.add.at(counts, pos_ids[~special], 1)
-    stats = {
-        "n_sentences": len(sentences),
-        "n_sequences": int(tokens.shape[0]),
-        "n_subword_tokens": int((~special).sum()),
-        "tokens_per_category": {UPOS_TAGS[k]: int(counts[k]) for k in range(len(UPOS_TAGS))},
-    }
-    with open(os.path.join(args.out, "stats.json"), "w", encoding="utf-8") as f:
-        json.dump(stats, f, indent=2, sort_keys=True)
-        f.write("\n")
-    meta = {
-        "L_seq": args.L_seq,
-        "vocab_size": vocab.size,
-        "vocab_hash": vocab.content_hash(),
-        "n_sequences": int(tokens.shape[0]),
-        "source": os.path.abspath(args.corpus),
-    }
-    save_packed(args.out, tokens, pos_ids, special, meta)
+    save_packed(args.out, tokens, pos_ids, special, vocab, len(sentences), args.corpus)
     print(f"prepared {tokens.shape[0]} sequences of length {args.L_seq} "
           f"(vocab {vocab.size}) in {args.out}")
     return EXIT_OK
@@ -87,16 +66,10 @@ def cmd_prepare(args) -> int:
 # ---------------------------------------------------------------- train
 
 def _load_prepared(prepared, source: str):
-    """(tokens, pos_ids, special, vocab, meta) of a prepared corpus, its
-    vocabulary checked against the hash in its meta.json. ``source`` names
-    the key or flag the path came from."""
+    """load_packed(prepared); ``source`` names the key or flag the path came from."""
     if not prepared or not os.path.isdir(prepared):
         raise ValueError(f"{source} does not point at a prepared corpus: {prepared!r}")
-    tokens, pos_ids, special, meta = load_packed(prepared)
-    vocab = Vocabulary.load(os.path.join(prepared, "vocab.txt"))
-    if vocab.content_hash() != meta["vocab_hash"]:
-        raise ValueError(f"vocabulary in {prepared} does not match its meta.json hash")
-    return tokens, pos_ids, special, vocab, meta
+    return load_packed(prepared)
 
 
 def cmd_train(args) -> int:
@@ -120,15 +93,15 @@ def cmd_train(args) -> int:
         raise ValueError("no output directory (set run.out or pass --out)")
 
     resume_step = rundir.resume_step(cfg, args.resume, args.force)
-    tokens, pos_ids, special, vocab, meta = _load_prepared(cfg.corpus_prepared, "corpus.prepared")
-    model_cfg = cfg.model_config(vocab.size, int(meta["L_seq"]))
+    tokens, pos_ids, special, vocab = _load_prepared(cfg.corpus_prepared, "corpus.prepared")
+    model_cfg = cfg.model_config(vocab.size, tokens.shape[1])
 
     ckpt_dir = rundir.checkpoint_dir(run_dir)
     with rundir.lock(run_dir):
         state = None
         if resume_step is not None:
             state, ckpt_cfg, vocab_hash = load_checkpoint(checkpoint_path(ckpt_dir, resume_step))
-            if vocab_hash != meta["vocab_hash"]:
+            if vocab_hash != vocab.content_hash():
                 raise ValueError("checkpoint was trained with a different vocabulary")
             if ckpt_cfg != model_cfg:
                 raise ValueError("checkpoint model config does not match run config")
@@ -191,9 +164,10 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--checkpoint must be a step number, 'all' or 'latest', "
                        f"got {args.checkpoint!r}")
     run_dir = args.run
-    *_, vocab, meta = _load_prepared(rundir.read_config(run_dir).corpus_prepared, "corpus.prepared")
+    train_tokens, *_, vocab = _load_prepared(rundir.read_config(run_dir).corpus_prepared,
+                                             "corpus.prepared")
     tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout),
-                                              int(meta["L_seq"]), vocab)
+                                              train_tokens.shape[1], vocab)
 
     ckpt_dir = rundir.checkpoint_dir(run_dir)
     steps = checkpoint_steps(ckpt_dir)
@@ -232,8 +206,12 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------- debug
 
 def cmd_mask_debug(args) -> int:
-    tokens, pos_ids, special, vocab, _ = _load_prepared(args.prepared, "--prepared")
-    rows = [int(r) for r in args.rows.split(",")]
+    try:
+        rows = [int(r) for r in args.rows.split(",")]
+    except ValueError:
+        raise ValueError(f"--rows must be comma-separated sequence numbers, "
+                         f"got {args.rows!r}") from None
+    tokens, pos_ids, special, vocab = _load_prepared(args.prepared, "--prepared")
     n_sequences = tokens.shape[0]
     for row in rows:
         if not 0 <= row < n_sequences:

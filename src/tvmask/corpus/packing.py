@@ -5,6 +5,9 @@ may continue into the next, but a word's pieces stay together unless the
 single word is longer than L_seq - 2. Every piece carries its word's
 category id. Output order is deterministic corpus order; shuffling is the
 trainer's job.
+
+This module is the prepared-corpus directory's one writer and reader: the
+vocabulary, stats, the three matrices and meta.json, which marks it whole.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ import numpy as np
 
 from tvmask.corpus.tokenizer import tokenize_word
 from tvmask.corpus.vocab import Vocabulary
-from tvmask.postags import X_ID
+from tvmask.postags import UPOS_TAGS, X_ID
 
 MIN_SEQ_LEN = 8
+
+VOCAB, STATS, META = "vocab.txt", "stats.json", "meta.json"
+ARRAYS = ("tokens.npy", "pos_ids.npy", "special.npy")
 
 
 def check_seq_len(L_seq: int) -> None:
@@ -80,20 +86,51 @@ def pack_to_arrays(
     return tokens, pos_ids, ~in_body
 
 
-def save_packed(out_dir, tokens: np.ndarray, pos: np.ndarray, special: np.ndarray, meta: dict) -> None:
+def check_out_dir(out_dir, force: bool) -> None:
+    """Raise ValueError unless save_packed may write a prepared corpus to out_dir."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ValueError(f"{out_dir} exists and is not a directory")
+    if os.path.exists(os.path.join(out_dir, META)) and not force:
+        raise ValueError(f"{out_dir} already contains a prepared corpus (use --force)")
+
+
+def save_packed(out_dir, tokens: np.ndarray, pos_ids: np.ndarray, special: np.ndarray,
+                vocab: Vocabulary, n_sentences: int, corpus_path) -> None:
+    """Write the whole prepared corpus. meta.json is removed first and written
+    last, so a rewrite cut short leaves no prepared corpus behind."""
+    meta_path = os.path.join(out_dir, META)
     os.makedirs(out_dir, exist_ok=True)
-    np.save(os.path.join(out_dir, "tokens.npy"), tokens)
-    np.save(os.path.join(out_dir, "pos_ids.npy"), pos)
-    np.save(os.path.join(out_dir, "special.npy"), special)
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    if os.path.exists(meta_path):
+        os.remove(meta_path)
+    vocab.save(os.path.join(out_dir, VOCAB))
+    counts = np.bincount(pos_ids[~special], minlength=len(UPOS_TAGS))
+    _write_json(os.path.join(out_dir, STATS), {
+        "n_sentences": n_sentences, "n_sequences": tokens.shape[0],
+        "n_subword_tokens": int(counts.sum()),
+        "tokens_per_category": {tag: int(n) for tag, n in zip(UPOS_TAGS, counts)}})
+    for name, array in zip(ARRAYS, (tokens, pos_ids, special)):
+        np.save(os.path.join(out_dir, name), array)
+    _write_json(meta_path, {"L_seq": tokens.shape[1], "vocab_size": vocab.size,
+                            "vocab_hash": vocab.content_hash(), "n_sequences": tokens.shape[0],
+                            "source": os.path.abspath(corpus_path)})
 
 
-def load_packed(prepared_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    tokens = np.load(os.path.join(prepared_dir, "tokens.npy"))
-    pos = np.load(os.path.join(prepared_dir, "pos_ids.npy"))
-    special = np.load(os.path.join(prepared_dir, "special.npy"))
-    with open(os.path.join(prepared_dir, "meta.json"), encoding="utf-8") as f:
+def load_packed(prepared_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray, Vocabulary]:
+    """(tokens, pos_ids, special, vocab) of a prepared corpus. The arrays must
+    have meta.json's shape and the vocabulary its hash."""
+    with open(os.path.join(prepared_dir, META), encoding="utf-8") as f:
         meta = json.load(f)
-    return tokens, pos, special, meta
+    tokens, pos_ids, special = (np.load(os.path.join(prepared_dir, name)) for name in ARRAYS)
+    shape = (meta["n_sequences"], meta["L_seq"])
+    if not tokens.shape == pos_ids.shape == special.shape == shape:
+        raise ValueError(f"arrays in {prepared_dir} do not match its meta.json shape {shape}")
+    vocab = Vocabulary.load(os.path.join(prepared_dir, VOCAB))
+    if vocab.content_hash() != meta["vocab_hash"]:
+        raise ValueError(f"vocabulary in {prepared_dir} does not match its meta.json hash")
+    return tokens, pos_ids, special, vocab
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")

@@ -104,7 +104,8 @@ def test_prepare_rerun_byte_identical(tmp_path):
     for out in (out1, out2):
         assert main(["prepare", "--corpus", str(corpus), "--out", str(out),
                      "--vocab-size", "256", "--L-seq", "16"]) == 0
-    for name in ("vocab.txt", "tokens.npy", "pos_ids.npy", "special.npy", "stats.json"):
+    for name in ("vocab.txt", "tokens.npy", "pos_ids.npy", "special.npy", "stats.json",
+                 "meta.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -139,6 +140,53 @@ def test_prepare_refuses_overwrite(tmp_path):
     assert main(args) == 0
     assert main(args) == 1
     assert main(args + ["--force"]) == 0
+
+
+def test_prepare_out_naming_a_file_refused_before_reading(tmp_path, capsys):
+    out = tmp_path / "afile"
+    out.write_text("keep me", encoding="utf-8")
+    missing = tmp_path / "nope.txt"  # named instead, were the corpus read first
+    assert main(["prepare", "--corpus", str(missing), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and str(missing) not in err and "Traceback" not in err, err
+    assert out.read_text(encoding="utf-8") == "keep me"
+
+
+def test_prepare_cut_short_leaves_no_prepared_corpus(workdir, tmp_path, capsys):
+    prep = tmp_path / "prep"
+    shutil.copytree(workdir / "prep", prep)
+    (prep / "special.npy").unlink()
+    (prep / "special.npy").mkdir()  # the forced rewrite below fails at its last array
+    with pytest.raises(IsADirectoryError):
+        main(["prepare", "--corpus", str(workdir / "corpus.txt"), "--out", str(prep),
+              "--vocab-size", "512", "--L-seq", "16", "--force"])
+    assert not (prep / "meta.json").exists()
+    capsys.readouterr()
+    assert main(["mask-debug", "--prepared", str(prep)]) == 1
+    err = capsys.readouterr().err
+    assert "meta.json" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("swapped", [("tokens.npy", "pos_ids.npy", "special.npy"),
+                                     ("tokens.npy", "pos_ids.npy")])
+def test_arrays_not_matching_meta_refused(workdir, tmp_path, capsys, swapped):
+    # L_seq 16 arrays under the L_seq 32 meta.json: vocab.txt is the same at
+    # both lengths, so only the shapes show the mix
+    short = tmp_path / "short"
+    assert main(["prepare", "--corpus", str(workdir / "corpus.txt"), "--out", str(short),
+                 "--vocab-size", "512", "--L-seq", "16"]) == 0
+    prep = tmp_path / "prep"
+    shutil.copytree(workdir / "prep", prep)
+    for name in swapped:
+        shutil.copy(short / name, prep / name)
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir, **{"corpus.prepared": prep}))
+    capsys.readouterr()
+    assert main(["train", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert main(["mask-debug", "--prepared", str(prep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count(f"arrays in {prep} do not match") == 2, captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert not (tmp_path / "run").exists()
 
 
 # ------------------------------------------------------------ train
@@ -483,19 +531,23 @@ def test_train_bad_config_exit_code(workdir, tmp_path, capsys):
 
 
 def test_library_reads_run_without_cli(workdir, tmp_path):
-    # a run written by `tvmask train`, read through tvmask.rundir alone in a
-    # fresh interpreter
+    # a run written by `tvmask train`, read through tvmask.rundir alone, and
+    # its prepared corpus through tvmask.corpus alone, in a fresh interpreter
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
     run = str(tmp_path / "run")
     assert main(["train", cfg, "--out", run]) == 0
     reader = (
-        "import sys\n"
-        "from tvmask import config, rundir\n"
+        "import json, os, sys\n"
+        "from tvmask import config, corpus, rundir\n"
         f"cfg = config.read({cfg!r})\n"
         f"cfg.run_out = {run!r}\n"
         f"assert rundir.read_config({run!r}) == cfg.resolved()\n"
         f"steps = [row['step'] for row in rundir.read_rows({run!r}, rundir.METRICS)]\n"
         "assert steps == list(range(cfg.train_T)), steps\n"
+        "*_, vocab = corpus.load_packed(cfg.corpus_prepared)\n"
+        "assert isinstance(vocab, corpus.Vocabulary)\n"
+        "with open(os.path.join(cfg.corpus_prepared, 'meta.json'), encoding='utf-8') as f:\n"
+        "    assert vocab.content_hash() == json.load(f)['vocab_hash']\n"
         "assert 'tvmask.cli' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tvmask.__file__))}
@@ -723,6 +775,7 @@ def test_eval_ratio_outside_open_unit_interval_rejected(workdir, trained_run, tm
     ("prepare", "--vocab-size", "3", "vocab_size must be >= 5, got 3"),
     ("eval", "--ratio", "1.5", "eval ratio must be in (0, 1), got 1.5"),
     ("eval", "--checkpoint", "abc", "--checkpoint must be a step number, 'all' or 'latest'"),
+    ("mask-debug", "--rows", "abc", "--rows must be comma-separated sequence numbers"),
 ])
 def test_bad_argument_rejected_before_any_file_is_read(trained_run, tmp_path, capsys,
                                                        command, flag, value, message):
@@ -731,6 +784,8 @@ def test_bad_argument_rejected_before_any_file_is_read(trained_run, tmp_path, ca
         corpus = tmp_path / "malformed.txt"
         corpus.write_text("the\tDET\nno_tag_here\n", encoding="utf-8")
         argv = ["prepare", "--corpus", str(corpus), "--out", str(tmp_path / "prep")]
+    elif command == "mask-debug":
+        argv = ["mask-debug", "--prepared", str(tmp_path / "missing_prep")]
     else:
         argv = ["eval", "--run", str(trained_run), "--heldout", str(tmp_path / "missing.txt"),
                 "--out", str(tmp_path / "report.json")]
