@@ -19,8 +19,8 @@ import numpy as np
 
 from tvmask import config as cfgmod
 from tvmask import rundir
-from tvmask.corpus.packing import (check_out_dir, check_seq_len, load_packed, pack_to_arrays,
-                                   save_packed)
+from tvmask.corpus.packing import (check_out_dir, check_seq_len, load_meta, load_packed,
+                                   pack_to_arrays, save_packed)
 from tvmask.corpus.reader import load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.vocab import build_vocab, check_vocab_size
@@ -57,7 +57,11 @@ def cmd_prepare(args) -> int:
     sentences = list(load_tagged_corpus(args.corpus))
     vocab = build_vocab(iter(sentences), args.vocab_size)
     tokens, pos_ids, special = pack_to_arrays(sentences, args.L_seq, vocab)
-    save_packed(args.out, tokens, pos_ids, special, vocab, len(sentences), args.corpus)
+    try:
+        save_packed(args.out, tokens, pos_ids, special, vocab, len(sentences), args.corpus)
+    except OSError as err:  # a write cut short leaves no prepared corpus behind
+        print(f"aborted: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"prepared {tokens.shape[0]} sequences of length {args.L_seq} "
           f"(vocab {vocab.size}) in {args.out}")
     return EXIT_OK
@@ -65,11 +69,11 @@ def cmd_prepare(args) -> int:
 
 # ---------------------------------------------------------------- train
 
-def _load_prepared(prepared, source: str):
-    """load_packed(prepared); ``source`` names the key or flag the path came from."""
+def _prepared_dir(prepared, source: str):
+    """prepared, once it names a directory; ``source`` names the key or flag it came from."""
     if not prepared or not os.path.isdir(prepared):
         raise ValueError(f"{source} does not point at a prepared corpus: {prepared!r}")
-    return load_packed(prepared)
+    return prepared
 
 
 def cmd_train(args) -> int:
@@ -93,7 +97,8 @@ def cmd_train(args) -> int:
         raise ValueError("no output directory (set run.out or pass --out)")
 
     resume_step = rundir.resume_step(cfg, args.resume, args.force)
-    tokens, pos_ids, special, vocab = _load_prepared(cfg.corpus_prepared, "corpus.prepared")
+    tokens, pos_ids, special, vocab = load_packed(_prepared_dir(cfg.corpus_prepared,
+                                                                "corpus.prepared"))
     model_cfg = cfg.model_config(vocab.size, tokens.shape[1])
 
     ckpt_dir = rundir.checkpoint_dir(run_dir)
@@ -164,10 +169,10 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--checkpoint must be a step number, 'all' or 'latest', "
                        f"got {args.checkpoint!r}")
     run_dir = args.run
-    train_tokens, *_, vocab = _load_prepared(rundir.read_config(run_dir).corpus_prepared,
-                                             "corpus.prepared")
-    tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout),
-                                              train_tokens.shape[1], vocab)
+    prepared = _prepared_dir(rundir.read_config(run_dir).corpus_prepared, "corpus.prepared")
+    meta, vocab = load_meta(prepared)
+    L_seq = meta["L_seq"]
+    tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout), L_seq, vocab)
 
     ckpt_dir = rundir.checkpoint_dir(run_dir)
     steps = checkpoint_steps(ckpt_dir)
@@ -187,6 +192,9 @@ def cmd_eval(args) -> int:
         params, model_cfg, vocab_hash = load_params(path)
         if vocab_hash != vocab.content_hash():
             raise ValueError(f"checkpoint {step} was trained with a different vocabulary")
+        if model_cfg.L_seq != L_seq:
+            raise ValueError(f"checkpoint {step} was trained at L_seq {model_cfg.L_seq}, "
+                             f"but {prepared} is packed at L_seq {L_seq}")
         result = eval_mlm(params, model_cfg, tokens, pos_ids, special, vocab,
                           ratio=args.ratio, seed=args.seed)
         result["step"] = step
@@ -211,7 +219,7 @@ def cmd_mask_debug(args) -> int:
     except ValueError:
         raise ValueError(f"--rows must be comma-separated sequence numbers, "
                          f"got {args.rows!r}") from None
-    tokens, pos_ids, special, vocab = _load_prepared(args.prepared, "--prepared")
+    tokens, pos_ids, special, vocab = load_packed(_prepared_dir(args.prepared, "--prepared"))
     n_sequences = tokens.shape[0]
     for row in rows:
         if not 0 <= row < n_sequences:

@@ -115,18 +115,35 @@ def save_packed(out_dir, tokens: np.ndarray, pos_ids: np.ndarray, special: np.nd
                             "source": os.path.abspath(corpus_path)})
 
 
+def load_meta(prepared_dir) -> tuple[dict, Vocabulary]:
+    """(meta, vocab) of a prepared corpus: meta.json, with its integer L_seq and
+    n_sequences and its string vocab_hash checked, and the vocabulary of that hash."""
+    path = os.path.join(prepared_dir, META)
+    with open(path, encoding="utf-8") as f:
+        try:
+            meta = json.load(f)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    for key, kind, what in (("L_seq", int, "an integer"), ("n_sequences", int, "an integer"),
+                            ("vocab_hash", str, "a string")):
+        if type(meta.get(key)) is not kind:
+            raise ValueError(f"{path}: {key} must be {what}, got {meta.get(key)!r}")
+    vocab = Vocabulary.load(os.path.join(prepared_dir, VOCAB))
+    if vocab.content_hash() != meta["vocab_hash"]:
+        raise ValueError(f"vocabulary in {prepared_dir} does not match its meta.json hash")
+    return meta, vocab
+
+
 def load_packed(prepared_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray, Vocabulary]:
-    """(tokens, pos_ids, special, vocab) of a prepared corpus. The arrays must
-    have meta.json's shape and the vocabulary its hash."""
-    with open(os.path.join(prepared_dir, META), encoding="utf-8") as f:
-        meta = json.load(f)
+    """(tokens, pos_ids, special, vocab) of a prepared corpus, read through
+    load_meta. The arrays must have meta.json's shape."""
+    meta, vocab = load_meta(prepared_dir)
     tokens, pos_ids, special = (np.load(os.path.join(prepared_dir, name)) for name in ARRAYS)
     shape = (meta["n_sequences"], meta["L_seq"])
     if not tokens.shape == pos_ids.shape == special.shape == shape:
         raise ValueError(f"arrays in {prepared_dir} do not match its meta.json shape {shape}")
-    vocab = Vocabulary.load(os.path.join(prepared_dir, VOCAB))
-    if vocab.content_hash() != meta["vocab_hash"]:
-        raise ValueError(f"vocabulary in {prepared_dir} does not match its meta.json hash")
     return tokens, pos_ids, special, vocab
 
 

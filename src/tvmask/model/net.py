@@ -1,11 +1,13 @@
 """Small BERT-style encoder with an MLM head, in plain numpy.
 
-Forward and backward passes are hand-written; the backward path only
-runs the output head at the masked positions, which is where nearly all
-of the vocabulary-projection cost lives. Every encoder linear layer, and
-each of its gradient products, is one 2-D GEMM over all B * L rows of a
-batch. Everything is deterministic given (config, seed, inputs) at a
-fixed BLAS thread count.
+Forward and backward passes are hand-written, and both run only what the
+MLM loss reads. The output head, where nearly all of the vocabulary
+projection's cost lives, runs at the masked positions alone. So does the
+last encoder layer, apart from its key and value projections, which
+every query of a sequence attends to. Every other encoder linear layer,
+and each of its gradient products, is one 2-D GEMM over all B * L rows
+of a batch. Everything is deterministic given (config, seed, inputs) at
+a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -158,15 +160,10 @@ def layernorm_backward(dy, g, cache):
     return dx, dg, db
 
 
-def _split_heads(x, B, L, heads):
-    """[B * L, H] -> [B, heads, L, H // heads] view."""
-    return x.reshape(B, L, heads, -1).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    """[B, heads, L, dh] -> contiguous [B * L, heads * dh]."""
-    B, nh, L, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B * L, nh * dh)
+def _heads(x, heads):
+    """[N, H] -> [heads, N, H // heads] view; sequence b's rows stay one slice."""
+    N = x.shape[0]
+    return x.reshape(N, heads, -1).transpose(1, 0, 2)
 
 
 def _linear(x, w, b):
@@ -176,50 +173,80 @@ def _linear(x, w, b):
     return y
 
 
-def encode(params, cfg: ModelConfig, token_ids, pad_mask):
-    """Run the embedding and encoder stack; returns hidden states [B, L, H] and cache.
+def _segments(bounds, L):
+    """(query slice, key slice) of each sequence: its query rows are
+    bounds[b]:bounds[b + 1], its keys the L rows from b * L."""
+    return [(slice(lo, hi), slice(b * L, (b + 1) * L))
+            for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
-    Activations are kept as [B * L, features]; each linear layer is one
-    [B * L, n] @ w GEMM, and the attention core works on per-head views
-    of them.
+
+def _layer(params, p, cfg: ModelConfig, x, rows, segments, attn_bias):
+    """One encoder layer on x [B * L, H], with queries only at the flat rows ``rows``.
+
+    Each sequence's queries attend to all L of its rows (see _segments).
+    Everything after the attention is position-wise, so the layer's
+    output exists only at the query rows: returns (y [len(x[rows]), H], cache).
+    """
+    nh = cfg.heads
+    scale = cfg.np_dtype(1.0 / math.sqrt(cfg.hidden_dim // nh))
+    x_q = x[rows]
+    q = _heads(_linear(x_q, params[p + "wq"], params[p + "bq"]), nh)
+    k = _heads(_linear(x, params[p + "wk"], params[p + "bk"]), nh)
+    v = _heads(_linear(x, params[p + "wv"], params[p + "bv"]), nh)
+    attn = np.empty((nh, x_q.shape[0], attn_bias.shape[1]), dtype=x.dtype)
+    for (qs, ks), bias in zip(segments, attn_bias):
+        s = attn[:, qs]
+        np.matmul(q[:, qs], k[:, ks].transpose(0, 2, 1), out=s)
+        s *= scale
+        s += bias
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx = np.empty_like(x_q)
+    for qs, ks in segments:
+        np.matmul(attn[:, qs], v[:, ks], out=_heads(ctx, nh)[:, qs])
+    r1 = _linear(ctx, params[p + "wo"], params[p + "bo"])
+    r1 += x_q
+    x1, ln1 = layernorm(r1, params[p + "ln1_g"], params[p + "ln1_b"])
+    ff_pre = _linear(x1, params[p + "w1"], params[p + "b1"])
+    ff_act, ff_tanh = gelu_cached(ff_pre)
+    r2 = _linear(ff_act, params[p + "w2"], params[p + "b2"])
+    r2 += x1
+    y, ln2 = layernorm(r2, params[p + "ln2_g"], params[p + "ln2_b"])
+    return y, {"x_in": x, "x_q": x_q, "rows": rows, "segments": segments, "q": q, "k": k,
+               "v": v, "attn": attn, "ctx": ctx, "ln1": ln1, "x1": x1, "ff_pre": ff_pre,
+               "ff_act": ff_act, "ff_tanh": ff_tanh, "ln2": ln2}
+
+
+def encode(params, cfg: ModelConfig, token_ids, pad_mask, mrows, mcols):
+    """Final hidden states [M, H] at the masked positions (mrows[i], mcols[i]), and the cache.
+
+    Activations are kept as [rows, features], and each linear layer is one
+    GEMM over its rows. The layers below the last run on all B * L rows.
+    The last one needs keys and values from every row, but its queries and
+    everything after them only at the M masked rows, the only ones the
+    head reads. mrows must be non-decreasing, so that each sequence's
+    masked rows are one slice.
     """
     B, L = token_ids.shape
-    H, nh = cfg.hidden_dim, cfg.heads
+    H = cfg.hidden_dim
     dt = cfg.np_dtype
-    scale = dt(1.0 / math.sqrt(H // nh))
-    attn_bias = np.where(pad_mask[:, None, None, :], dt(ATTN_NEG), dt(0.0))
+    mrows = np.asarray(mrows)
+    if np.any(mrows[1:] < mrows[:-1]):
+        raise ValueError("mrows must be non-decreasing")
+    masked = np.ravel_multi_index((mrows, mcols), (B, L))
+    queries = ([(slice(None), _segments(np.arange(B + 1) * L, L))] * (cfg.layers - 1)
+               + [(masked, _segments(np.searchsorted(mrows, np.arange(B + 1)), L))])
+    attn_bias = np.where(pad_mask, dt(ATTN_NEG), dt(0.0))
 
     emb = params["tok_emb"][token_ids]
     emb += params["pos_emb"][:L]
     x, emb_ln = layernorm(emb.reshape(B * L, H), params["emb_ln_g"], params["emb_ln_b"])
     cache = {"token_ids": token_ids, "emb_ln": emb_ln, "layers": []}
-    for i in range(cfg.layers):
-        p = f"l{i}_"
-        x_in = x
-        q = _split_heads(_linear(x, params[p + "wq"], params[p + "bq"]), B, L, nh)
-        k = _split_heads(_linear(x, params[p + "wk"], params[p + "bk"]), B, L, nh)
-        v = _split_heads(_linear(x, params[p + "wv"], params[p + "bv"]), B, L, nh)
-        attn = np.matmul(q, k.transpose(0, 1, 3, 2))
-        attn *= scale
-        attn += attn_bias
-        attn -= attn.max(axis=-1, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = _merge_heads(np.matmul(attn, v))
-        r1 = _linear(ctx, params[p + "wo"], params[p + "bo"])
-        r1 += x_in
-        x1, ln1 = layernorm(r1, params[p + "ln1_g"], params[p + "ln1_b"])
-        ff_pre = _linear(x1, params[p + "w1"], params[p + "b1"])
-        ff_act, ff_tanh = gelu_cached(ff_pre)
-        r2 = _linear(ff_act, params[p + "w2"], params[p + "b2"])
-        r2 += x1
-        x, ln2 = layernorm(r2, params[p + "ln2_g"], params[p + "ln2_b"])
-        cache["layers"].append(
-            {"x_in": x_in, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
-             "ln1": ln1, "x1": x1, "ff_pre": ff_pre, "ff_act": ff_act,
-             "ff_tanh": ff_tanh, "ln2": ln2}
-        )
-    return x.reshape(B, L, H), cache
+    for i, (rows, segments) in enumerate(queries):
+        x, layer_cache = _layer(params, f"l{i}_", cfg, x, rows, segments, attn_bias)
+        cache["layers"].append(layer_cache)
+    return x, cache
 
 
 def _head(params, cfg: ModelConfig, h):
@@ -233,12 +260,62 @@ def _head(params, cfg: ModelConfig, h):
 
 
 def forward_masked(params, cfg: ModelConfig, token_ids, pad_mask, mrows, mcols):
-    """Logits only at the masked positions (mrows[i], mcols[i])."""
-    hidden, cache = encode(params, cfg, token_ids, pad_mask)
-    logits, head_cache = _head(params, cfg, hidden[mrows, mcols])
-    cache["head"] = head_cache
-    cache["mrows"], cache["mcols"] = mrows, mcols
+    """Logits only at the masked positions (mrows[i], mcols[i]); mrows must be non-decreasing."""
+    hidden, cache = encode(params, cfg, token_ids, pad_mask, mrows, mcols)
+    logits, cache["head"] = _head(params, cfg, hidden)
+    cache["mrows"], cache["mcols"] = mrows, mcols  # read by perfbench's backward FLOP counter
     return logits, cache
+
+
+def _layer_backward(params, p, cfg: ModelConfig, lc, dy, grads):
+    """Backward of _layer: dy [len(query rows), H] -> gradient at its input [B * L, H].
+
+    Fills the layer's entries of grads. The residual and q paths reach
+    only the query rows; the k and v paths reach every row.
+    """
+    nh = cfg.heads
+    x_in, x_q, segments = lc["x_in"], lc["x_q"], lc["segments"]
+    scale = cfg.np_dtype(1.0 / math.sqrt(cfg.hidden_dim // nh))
+    # each layernorm_backward overwrites its input; the residual
+    # gradients are accumulated in place once their last reader is done
+    d_x1, grads[p + "ln2_g"], grads[p + "ln2_b"] = layernorm_backward(
+        dy, params[p + "ln2_g"], lc["ln2"]
+    )
+    grads[p + "w2"] = lc["ff_act"].T @ d_x1
+    grads[p + "b2"] = d_x1.sum(axis=0)
+    d_ffpre = d_x1 @ params[p + "w2"].T
+    d_ffpre *= gelu_grad(lc["ff_pre"], lc["ff_tanh"])
+    grads[p + "w1"] = lc["x1"].T @ d_ffpre
+    grads[p + "b1"] = d_ffpre.sum(axis=0)
+    d_x1 += d_ffpre @ params[p + "w1"].T
+    d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = layernorm_backward(
+        d_x1, params[p + "ln1_g"], lc["ln1"]
+    )
+    grads[p + "wo"] = lc["ctx"].T @ d_r1
+    grads[p + "bo"] = d_r1.sum(axis=0)
+    d_ctx = _heads(d_r1 @ params[p + "wo"].T, nh)
+    attn, q, k, v = lc["attn"], lc["q"], lc["k"], lc["v"]
+    d_scores = np.empty_like(attn)
+    d_q, d_k, d_v = np.empty_like(x_q), np.empty_like(x_in), np.empty_like(x_in)
+    for qs, ks in segments:
+        np.matmul(d_ctx[:, qs], v[:, ks].transpose(0, 2, 1), out=d_scores[:, qs])
+        np.matmul(attn[:, qs].transpose(0, 2, 1), d_ctx[:, qs], out=_heads(d_v, nh)[:, ks])
+    d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
+    d_scores *= attn
+    for qs, ks in segments:
+        np.matmul(d_scores[:, qs], k[:, ks], out=_heads(d_q, nh)[:, qs])
+        np.matmul(d_scores[:, qs].transpose(0, 2, 1), q[:, qs], out=_heads(d_k, nh)[:, ks])
+    d_q *= scale
+    d_k *= scale
+    for name, x, d_flat in (("q", x_q, d_q), ("k", x_in, d_k), ("v", x_in, d_v)):
+        grads[p + "w" + name] = x.T @ d_flat
+        grads[p + "b" + name] = d_flat.sum(axis=0)
+    d_r1 += d_q @ params[p + "wq"].T
+    dx = np.zeros_like(x_in)
+    dx[lc["rows"]] = d_r1
+    dx += d_k @ params[p + "wk"].T
+    dx += d_v @ params[p + "wv"].T
+    return dx
 
 
 def backward_masked(params, cfg: ModelConfig, cache, dlogits):
@@ -255,54 +332,16 @@ def backward_masked(params, cfg: ModelConfig, cache, dlogits):
     grads["head_w"] = hc["h"].T @ d_tpre
     grads["head_b"] = d_tpre.sum(axis=0)
 
+    dx = d_tpre @ params["head_w"].T
+    for i in reversed(range(cfg.layers)):
+        dx = _layer_backward(params, f"l{i}_", cfg, cache["layers"][i], dx, grads)
+
     token_ids = cache["token_ids"]
     B, L = token_ids.shape
-    H, nh = cfg.hidden_dim, cfg.heads
-    dt = cfg.np_dtype
-    scale = dt(1.0 / math.sqrt(H // nh))
-    dx = np.zeros((B, L, H), dtype=dt)
-    dx[cache["mrows"], cache["mcols"]] = d_tpre @ params["head_w"].T
-    dx = dx.reshape(B * L, H)
-    for i in reversed(range(cfg.layers)):
-        p = f"l{i}_"
-        lc = cache["layers"][i]
-        # each layernorm_backward overwrites its input; the residual
-        # gradients are accumulated in place once their last reader is done
-        d_x1, grads[p + "ln2_g"], grads[p + "ln2_b"] = layernorm_backward(
-            dx, params[p + "ln2_g"], lc["ln2"]
-        )
-        grads[p + "w2"] = lc["ff_act"].T @ d_x1
-        grads[p + "b2"] = d_x1.sum(axis=0)
-        d_ffpre = d_x1 @ params[p + "w2"].T
-        d_ffpre *= gelu_grad(lc["ff_pre"], lc["ff_tanh"])
-        grads[p + "w1"] = lc["x1"].T @ d_ffpre
-        grads[p + "b1"] = d_ffpre.sum(axis=0)
-        d_x1 += d_ffpre @ params[p + "w1"].T
-        dx, grads[p + "ln1_g"], grads[p + "ln1_b"] = layernorm_backward(
-            d_x1, params[p + "ln1_g"], lc["ln1"]
-        )
-        grads[p + "wo"] = lc["ctx"].T @ dx
-        grads[p + "bo"] = dx.sum(axis=0)
-        d_ctx = _split_heads(dx @ params[p + "wo"].T, B, L, nh)
-        attn = lc["attn"]
-        d_scores = np.matmul(d_ctx, lc["v"].transpose(0, 1, 3, 2))
-        d_v = np.matmul(attn.transpose(0, 1, 3, 2), d_ctx)
-        d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
-        d_scores *= attn
-        d_q = np.matmul(d_scores, lc["k"])
-        d_q *= scale
-        d_k = np.matmul(d_scores.transpose(0, 1, 3, 2), lc["q"])
-        d_k *= scale
-        for name, dh in (("q", d_q), ("k", d_k), ("v", d_v)):
-            d_flat = _merge_heads(dh)
-            grads[p + "w" + name] = lc["x_in"].T @ d_flat
-            grads[p + "b" + name] = d_flat.sum(axis=0)
-            dx += d_flat @ params[p + "w" + name].T
-
     d_emb, grads["emb_ln_g"], grads["emb_ln_b"] = layernorm_backward(
         dx, params["emb_ln_g"], cache["emb_ln"]
     )
-    d_emb = d_emb.reshape(B, L, H)
+    d_emb = d_emb.reshape(B, L, -1)
     d_pos = np.zeros_like(params["pos_emb"])
     d_pos[:L] = d_emb.sum(axis=0)
     grads["pos_emb"] = d_pos

@@ -157,14 +157,35 @@ def test_prepare_cut_short_leaves_no_prepared_corpus(workdir, tmp_path, capsys):
     shutil.copytree(workdir / "prep", prep)
     (prep / "special.npy").unlink()
     (prep / "special.npy").mkdir()  # the forced rewrite below fails at its last array
-    with pytest.raises(IsADirectoryError):
-        main(["prepare", "--corpus", str(workdir / "corpus.txt"), "--out", str(prep),
-              "--vocab-size", "512", "--L-seq", "16", "--force"])
-    assert not (prep / "meta.json").exists()
     capsys.readouterr()
+    assert main(["prepare", "--corpus", str(workdir / "corpus.txt"), "--out", str(prep),
+                 "--vocab-size", "512", "--L-seq", "16", "--force"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: ") and "Traceback" not in err, err
+    assert not (prep / "meta.json").exists()
     assert main(["mask-debug", "--prepared", str(prep)]) == 1
     err = capsys.readouterr().err
     assert "meta.json" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda meta: "[]",
+    lambda meta: json.dumps({k: v for k, v in meta.items() if k != "L_seq"}),
+    lambda meta: json.dumps({**meta, "n_sequences": str(meta["n_sequences"])}),
+    lambda meta: "{",
+], ids=["not-an-object", "no-L_seq", "string-n_sequences", "torn"])
+def test_damaged_meta_refused(workdir, tmp_path, capsys, damage):
+    prep = tmp_path / "prep"
+    shutil.copytree(workdir / "prep", prep)
+    meta = prep / "meta.json"
+    meta.write_text(damage(json.loads(meta.read_text(encoding="utf-8"))), encoding="utf-8")
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir, **{"corpus.prepared": prep}))
+    for argv in (["mask-debug", "--prepared", str(prep)],
+                 ["train", cfg, "--out", str(tmp_path / "run")]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert str(meta) in err and "Traceback" not in err, (argv[0], err)
 
 
 @pytest.mark.parametrize("swapped", [("tokens.npy", "pos_ids.npy", "special.npy"),
@@ -651,6 +672,16 @@ def trained_run(workdir, tmp_path_factory):
     return run
 
 
+def repointed_run(workdir, trained_run, tmp_path, prepared):
+    """A copy of trained_run's config and checkpoints whose corpus.prepared is ``prepared``."""
+    run = tmp_path / "run2"
+    run.mkdir()
+    cfg_text = (trained_run / "config.txt").read_text()
+    (run / "config.txt").write_text(cfg_text.replace(str(workdir / "prep"), str(prepared)))
+    shutil.copytree(trained_run / "checkpoints", run / "checkpoints")
+    return run
+
+
 def test_eval_checkpoint_zero_near_lnV(workdir, trained_run, capsys):
     heldout = workdir / "heldout.txt"
     assert main(["eval", "--run", str(trained_run), "--heldout", str(heldout),
@@ -690,12 +721,7 @@ def test_eval_vocab_mismatch_rejected(workdir, trained_run, tmp_path, capsys):
     other_prep = tmp_path / "otherprep"
     assert main(["prepare", "--corpus", str(other_corpus), "--out", str(other_prep),
                  "--vocab-size", "256", "--L-seq", "32"]) == 0
-    cfg_text = (trained_run / "config.txt").read_text()
-    hacked = cfg_text.replace(str(workdir / "prep"), str(other_prep))
-    run2 = tmp_path / "run2"
-    run2.mkdir()
-    (run2 / "config.txt").write_text(hacked)
-    shutil.copytree(trained_run / "checkpoints", run2 / "checkpoints")
+    run2 = repointed_run(workdir, trained_run, tmp_path, other_prep)
     assert main(["eval", "--run", str(run2), "--heldout", str(workdir / "heldout.txt"),
                  "--checkpoint", "0"]) == 1
     assert "vocabulary" in capsys.readouterr().err
@@ -703,14 +729,39 @@ def test_eval_vocab_mismatch_rejected(workdir, trained_run, tmp_path, capsys):
 
 def test_eval_moved_corpus_names_the_key(workdir, trained_run, tmp_path, capsys):
     moved = tmp_path / "moved"
-    run2 = tmp_path / "run2"
-    run2.mkdir()
-    cfg_text = (trained_run / "config.txt").read_text()
-    (run2 / "config.txt").write_text(cfg_text.replace(str(workdir / "prep"), str(moved)))
-    shutil.copytree(trained_run / "checkpoints", run2 / "checkpoints")
+    run2 = repointed_run(workdir, trained_run, tmp_path, moved)
     assert main(["eval", "--run", str(run2), "--heldout", str(workdir / "heldout.txt"),
                  "--checkpoint", "0"]) == 1
     assert "corpus.prepared" in capsys.readouterr().err
+    assert not (run2 / "eval_report.json").exists()
+
+
+def test_eval_reads_no_training_matrices(workdir, trained_run, tmp_path):
+    prep = tmp_path / "prep"
+    shutil.copytree(workdir / "prep", prep)
+    for name in ("tokens.npy", "pos_ids.npy", "special.npy"):
+        (prep / name).unlink()
+    run2 = repointed_run(workdir, trained_run, tmp_path, prep)
+    outs = [tmp_path / "stripped.json", tmp_path / "whole.json"]
+    for run, out in zip((run2, trained_run), outs):
+        assert main(["eval", "--run", str(run), "--heldout", str(workdir / "heldout.txt"),
+                     "--checkpoint", "latest", "--out", str(out)]) == 0
+    assert (json.loads(outs[0].read_text())["checkpoints"]
+            == json.loads(outs[1].read_text())["checkpoints"])
+
+
+def test_eval_refuses_checkpoint_of_another_length(workdir, trained_run, tmp_path, capsys):
+    # the same corpus packed at L_seq 16 has the same vocabulary, so only the
+    # checkpoint's L_seq 32 shows the mix
+    short = tmp_path / "short"
+    assert main(["prepare", "--corpus", str(workdir / "corpus.txt"), "--out", str(short),
+                 "--vocab-size", "512", "--L-seq", "16"]) == 0
+    run2 = repointed_run(workdir, trained_run, tmp_path, short)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run2), "--heldout", str(workdir / "heldout.txt"),
+                 "--checkpoint", "12"]) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint 12" in err and "L_seq" in err and "Traceback" not in err, err
     assert not (run2 / "eval_report.json").exists()
 
 

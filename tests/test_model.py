@@ -381,6 +381,32 @@ def test_adamw_step_matches_reference(dtype):
             assert np.array_equal(opt.m[k], m_ref[k]) and np.array_equal(opt.v[k], v_ref[k])
 
 
+def assert_matches_reference(params, cfg, ids, pad, mrows, mcols, labels):
+    """Logits, nll and dlogits equal the reference's; gradients agree to rounding.
+
+    The last layer runs only at the masked rows, so its products sum
+    over fewer rows than the reference's, and every weight gradient
+    below it moves by summation order: each tensor may differ by
+    32 * eps * its largest |ref|. The k biases' gradients are zero in
+    exact arithmetic (softmax ignores a per-query shift), so they are
+    held to the largest |ref| over all gradients.
+    """
+    logits, cache = forward_masked(params, cfg, ids, pad, mrows, mcols)
+    nll, dlogits = softmax_xent(logits, labels)
+    grads = backward_masked(params, cfg, cache, dlogits)
+    ref_logits, ref_nll_, ref_dlogits, ref_grads = ref_forward_backward(
+        params, cfg, ids, pad, mrows, mcols, labels)
+    assert np.array_equal(logits, ref_logits)
+    assert np.array_equal(nll, ref_nll_) and np.array_equal(dlogits, ref_dlogits)
+    assert list(grads) == list(ref_grads)  # clip_global_norm sums in this order
+    tol = 32 * np.finfo(cfg.np_dtype).eps
+    largest = max(float(np.abs(g).max()) for g in ref_grads.values())
+    for name in grads:
+        assert grads[name].dtype == params[name].dtype, name
+        scale = largest if name.endswith("_bk") else float(np.abs(ref_grads[name]).max())
+        assert np.abs(grads[name] - ref_grads[name]).max() <= tol * scale, name
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("tied", [True, False])
 @pytest.mark.parametrize("M", [1, 6])
@@ -398,14 +424,29 @@ def test_forward_backward_match_reference(dtype, tied, M):
     flat = np.sort(rng.choice(8 * 29, size=M, replace=False))
     mrows, mcols = flat // 29, flat % 29
     labels = rng.integers(0, cfg.vocab_size, size=M)
-    logits, cache = forward_masked(params, cfg, ids, pad, mrows, mcols)
-    nll, dlogits = softmax_xent(logits, labels)
-    grads = backward_masked(params, cfg, cache, dlogits)
-    ref_logits, ref_nll_, ref_dlogits, ref_grads = ref_forward_backward(
-        params, cfg, ids, pad, mrows, mcols, labels)
-    assert np.array_equal(logits, ref_logits)
-    assert np.array_equal(nll, ref_nll_) and np.array_equal(dlogits, ref_dlogits)
-    assert list(grads) == list(ref_grads)  # clip_global_norm sums in this order
-    for name in grads:
-        assert grads[name].dtype == params[name].dtype, name
-        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert_matches_reference(params, cfg, ids, pad, mrows, mcols, labels)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_one_row_fully_masked_others_not_at_all(dtype):
+    # every last-layer query comes from row 1: rows 0 and 2 have empty
+    # query slices, so their keys, values and inputs get zero gradient
+    cfg = ModelConfig(layers=2, hidden_dim=16, heads=2, ff_dim=32, vocab_size=40,
+                      L_seq=12, tied=True, dtype=dtype)
+    params = init_params(cfg, 6)
+    rng = np.random.default_rng(6)
+    ids = rng.integers(0, cfg.vocab_size, size=(3, cfg.L_seq))
+    pad = np.zeros(ids.shape, dtype=bool)
+    pad[0, -3:] = True
+    pad[1, -2:] = True
+    mrows, mcols = np.full(cfg.L_seq, 1), np.arange(cfg.L_seq)
+    labels = rng.integers(0, cfg.vocab_size, size=cfg.L_seq)
+    assert_matches_reference(params, cfg, ids, pad, mrows, mcols, labels)
+
+
+def test_forward_masked_refuses_decreasing_rows():
+    params = init_params(SMALL, 0)
+    ids = rand_ids(SMALL)
+    pad = np.zeros(ids.shape, dtype=bool)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        forward_masked(params, SMALL, ids, pad, np.array([0, 2, 1]), np.array([1, 1, 1]))
