@@ -54,11 +54,11 @@ def cmd_prepare(args) -> int:
     check_seq_len(args.L_seq)
     check_vocab_size(args.vocab_size)
     check_out_dir(args.out, args.force)
-    sentences = list(load_tagged_corpus(args.corpus))
-    vocab = build_vocab(iter(sentences), args.vocab_size)
-    tokens, pos_ids, special = pack_to_arrays(sentences, args.L_seq, vocab)
+    corpus = load_tagged_corpus(args.corpus)
+    vocab = build_vocab(corpus, args.vocab_size)
+    tokens, pos_ids, special = pack_to_arrays(corpus, args.L_seq, vocab)
     try:
-        save_packed(args.out, tokens, pos_ids, special, vocab, len(sentences), args.corpus)
+        save_packed(args.out, tokens, pos_ids, special, vocab, corpus.n_sentences, args.corpus)
     except OSError as err:  # a write cut short leaves no prepared corpus behind
         print(f"aborted: {err}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
         if not os.path.exists(path):
             raise ValueError(f"checkpoint not found: {path}")
         params, model_cfg, vocab_hash = load_params(path)
-        if vocab_hash != vocab.content_hash():
+        if vocab_hash != meta["vocab_hash"]:  # load_meta checked vocab against it
             raise ValueError(f"checkpoint {step} was trained with a different vocabulary")
         if model_cfg.L_seq != L_seq:
             raise ValueError(f"checkpoint {step} was trained at L_seq {model_cfg.L_seq}, "

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import os
-from array import array
-from typing import Iterable
+from itertools import chain
 
 import numpy as np
 
+from tvmask.corpus.reader import TaggedCorpus
 from tvmask.corpus.tokenizer import tokenize_word
 from tvmask.corpus.vocab import Vocabulary
 from tvmask.postags import UPOS_TAGS, X_ID
@@ -35,54 +35,48 @@ def check_seq_len(L_seq: int) -> None:
         raise ValueError(f"L_seq must be >= {MIN_SEQ_LEN}, got {L_seq}")
 
 
-def pack_to_arrays(
-    sentences: Iterable[list[tuple[str, int]]], L_seq: int, vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tokenize (form, category) sentences and pack them into
-    (tokens, pos_ids, special) matrices of shape [n_sequences, L_seq].
+def pack_to_arrays(corpus: TaggedCorpus, L_seq: int,
+                   vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tokenize a tagged corpus and pack it into (tokens, pos_ids, special)
+    matrices of shape [n_sequences, L_seq].
 
-    Each distinct form is tokenized once; its repeats reuse those piece ids.
+    Each distinct form is tokenized once, and every token's piece ids are
+    gathered from those. A row takes the words that fit whole; a word
+    that would straddle the row's end starts the next row, unless it is
+    longer than a row's body, in which case it fills the row and spills on.
     """
     check_seq_len(L_seq)
     capacity = L_seq - 2
-    ids, cats = array("i"), array("b")  # every piece, in corpus order
-    bodies: list[int] = []  # pieces per finished row
-    fill = 0
-    form_pieces: dict[str, list[int]] = {}
-    for sentence in sentences:
-        for form, pos in sentence:
-            pieces = form_pieces.get(form)
-            if pieces is None:
-                pieces = form_pieces[form] = tokenize_word(form, vocab)
-            n = len(pieces)
-            ids.extend(pieces)
-            cats.extend([pos] * n)
-            if n > capacity:  # oversized word: the one case where a word may split
-                while n:
-                    if fill == capacity:
-                        bodies.append(fill)
-                        fill = 0
-                    take = min(capacity - fill, n)
-                    fill += take
-                    n -= take
-                continue
-            if fill + n > capacity:
-                bodies.append(fill)
-                fill = 0
-            fill += n
-    if fill:
-        bodies.append(fill)
-    if not bodies:
+    form_pieces = [tokenize_word(form, vocab) for form in corpus.forms]
+    form_len = np.fromiter(map(len, form_pieces), dtype=np.int64, count=len(form_pieces))
+    form_start = np.cumsum(form_len) - form_len  # offset of each form's pieces in flat
+    word_len = form_len[corpus.form_ids]
+    bounds = np.concatenate(([0], np.cumsum(word_len)))  # piece offset of each word, and the end
+    total = int(bounds[-1])
+    if total == 0:
         raise ValueError("no sequences produced; corpus empty?")
-    body = np.asarray(bodies)
+    flat = np.fromiter(chain.from_iterable(form_pieces), dtype=np.int32, count=int(form_len.sum()))
+    gather = np.repeat(form_start[corpus.form_ids] - bounds[:-1], word_len)
+    gather += np.arange(total)  # index into flat of every piece, in corpus order
+
+    breaks = []  # piece offset where each row's body ends
+    end = 0
+    while end + capacity < total:
+        limit = end + capacity
+        w = int(np.searchsorted(bounds, limit, side="right")) - 1  # the word at the limit
+        start = int(bounds[w])
+        end = start if bounds[w + 1] - start <= capacity else limit
+        breaks.append(end)
+    breaks.append(total)
+    body = np.diff(breaks, prepend=0)
     cols = np.arange(L_seq)
     in_body = (cols >= 1) & (cols <= body[:, None])
     tokens = np.full((len(body), L_seq), vocab.pad_id, dtype=np.int32)
     tokens[:, 0] = vocab.cls_id
-    tokens[in_body] = np.frombuffer(ids, dtype=np.intc)
+    tokens[in_body] = flat[gather]
     tokens[np.arange(len(body)), body + 1] = vocab.sep_id
     pos_ids = np.full((len(body), L_seq), X_ID, dtype=np.int8)
-    pos_ids[in_body] = np.frombuffer(cats, dtype=np.int8)
+    pos_ids[in_body] = np.repeat(corpus.categories, word_len)
     return tokens, pos_ids, ~in_body
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from collections import Counter
-from typing import Iterable
+
+import numpy as np
+
+from tvmask.corpus.reader import TaggedCorpus
 
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 CONTINUATION = "##"
@@ -60,7 +62,7 @@ def check_vocab_size(vocab_size: int) -> None:
         raise ValueError(f"vocab_size must be >= {len(RESERVED_TOKENS)}, got {vocab_size}")
 
 
-def build_vocab(sentences: Iterable[list[tuple[str, int]]], vocab_size: int) -> Vocabulary:
+def build_vocab(corpus: TaggedCorpus, vocab_size: int) -> Vocabulary:
     """Build a subword vocabulary of at most vocab_size entries.
 
     Candidate pieces are all substrings (up to MAX_PIECE_LEN chars) of
@@ -70,14 +72,15 @@ def build_vocab(sentences: Iterable[list[tuple[str, int]]], vocab_size: int) -> 
     descending count, ties broken lexicographically. Deterministic for a
     given corpus and size.
 
-    Pieces are counted once per distinct word. Only the longer pieces
-    that fit are ranked: heapq.nsmallest equals a full sort's prefix.
+    Pieces are counted once per distinct word, with the word's count from
+    one bincount over the corpus's form ids. Only the longer pieces that
+    fit are ranked: heapq.nsmallest equals a full sort's prefix.
     """
     check_vocab_size(vocab_size)
-    word_freq = Counter(form for sentence in sentences for form, _pos in sentence)
+    word_freq = np.bincount(corpus.form_ids, minlength=len(corpus.forms)).tolist()
 
     piece_freq: dict[str, int] = {}
-    for word, freq in word_freq.items():
+    for word, freq in zip(corpus.forms, word_freq):
         n = len(word)
         for i in range(n):
             top = min(n, i + MAX_PIECE_LEN)

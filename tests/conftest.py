@@ -3,8 +3,20 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from tvmask.corpus.reader import TaggedCorpus
+from tvmask.corpus.synth import generate_sentences
 from tvmask.corpus.vocab import RESERVED_TOKENS, Vocabulary
 from tvmask.masking import MaskPolicy, build_batch, target_count
+from tvmask.postags import pos_id
+
+
+def synth_sentences(n_tokens, seed):
+    """The synthetic corpus as in-memory (form, category_id) sentences."""
+    return [[(f, pos_id(t)) for f, t in s] for s in generate_sentences(n_tokens, seed)]
+
+
+def synth_corpus(n_tokens, seed) -> TaggedCorpus:
+    return TaggedCorpus.from_sentences(synth_sentences(n_tokens, seed))
 
 
 @pytest.fixture

@@ -1,8 +1,12 @@
-"""Reference packer for tests: the earlier two-step path, tokenize each
-sentence into a fragment, then pack fragments into sequences one by one.
+"""Reference reader and packer for tests, on (form, category_id) sentences.
 
+``read_sentences`` parses every line of a tagged corpus file on its own.
+``reference_pack`` is the earlier two-step path: tokenize each sentence
+into a fragment, then pack fragments into sequences one by one.
+
+``load_tagged_corpus`` must read what ``read_sentences`` does, and
 ``pack_to_arrays`` must produce exactly what ``reference_pack`` does; the
-randomized test in test_corpus.py holds it to that.
+randomized tests in test_corpus.py hold them to that.
 """
 
 from __future__ import annotations
@@ -12,8 +16,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from tvmask.corpus.packing import MIN_SEQ_LEN
+from tvmask.corpus.reader import CorpusFormatError
 from tvmask.corpus.tokenizer import tokenize_word
-from tvmask.postags import X_ID
+from tvmask.postags import X_ID, pos_id
+
+
+def read_sentences(path):
+    """The file's sentences: runs of record lines between blank lines. A line
+    starting with '#' is a comment unless it is '#', one tab and a tag."""
+    sentences, sentence = [], []
+    with open(path, encoding="utf-8-sig") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if line.startswith("#") and not (line.startswith("#\t") and line.count("\t") == 1):
+                continue
+            if not line.strip():
+                if sentence:
+                    sentences.append(sentence)
+                    sentence = []
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                fields = line.split()
+            if len(fields) != 2 or not fields[0] or not fields[1]:
+                raise CorpusFormatError(f"{path}:{lineno}: malformed record {line!r}")
+            sentence.append((fields[0], pos_id(fields[1])))
+    if sentence:
+        sentences.append(sentence)
+    return sentences
 
 
 @dataclass

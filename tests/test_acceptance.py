@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criteria 8 and 9 train
 the desk-scale model (2 layers x 128 hidden, L_seq 128) for 2000 steps
-on a >= 1M-token synthetic tagged corpus; expect roughly five minutes
-per run on a small CPU box.
+on a >= 1M-token synthetic tagged corpus; expect roughly two minutes
+per run on a small CPU box. They are marked ``slow``: `pytest -m "not slow"`
+runs everything else.
 """
 
 import contextlib
@@ -15,16 +16,15 @@ import pytest
 
 from tvmask.config import RunConfig
 from tvmask.corpus.packing import pack_to_arrays
-from tvmask.corpus.synth import generate_sentences
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import ModelConfig
-from tvmask.postags import FUNCTION_IDS, NON_FUNCTION_IDS, UPOS_TAGS, pos_id
+from tvmask.postags import FUNCTION_IDS, NON_FUNCTION_IDS, UPOS_TAGS
 from tvmask.schedule import ScheduleKind, ScheduleSpec, expected_mass, ratio_at
 from tvmask.tracker import CategoryLossTracker, weights_from_losses
 from tvmask.trainer import ListSink, eval_mlm, load_checkpoint, save_checkpoint, train
 
-from conftest import make_sequence, plan_one
+from conftest import make_sequence, plan_one, synth_corpus
 from gradcheck import TINY_CONFIG, grad_check
 from test_masker import assert_inclusion_frequencies, enumerate_orders, inclusion_from_orders
 
@@ -41,12 +41,11 @@ def criterion(number, description):
 
 
 def build_corpus(n_tokens, seed, vocab_size, L_seq, vocab=None):
-    sentences = [[(f, pos_id(t)) for f, t in s] for s in generate_sentences(n_tokens, seed)]
-    n_words = sum(len(s) for s in sentences)
+    corpus = synth_corpus(n_tokens, seed)
     if vocab is None:
-        vocab = build_vocab(iter(sentences), vocab_size)
-    tokens, pos, special = pack_to_arrays(sentences, L_seq, vocab)
-    return tokens, pos, special, vocab, n_words
+        vocab = build_vocab(corpus, vocab_size)
+    tokens, pos, special = pack_to_arrays(corpus, L_seq, vocab)
+    return tokens, pos, special, vocab, len(corpus.form_ids)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -246,6 +245,7 @@ def test_criterion_07_gradient_check():
         assert grad_check(TINY_CONFIG, seed=0, perturb=True) > 1e-2
 
 
+@pytest.mark.slow
 def test_criterion_08_function_words_converge_faster(desk_corpus, desk_run_random):
     with criterion(8, "fixed-0.15 desk run: function-word losses below non-function"):
         state, sink, cfg = desk_run_random
@@ -265,6 +265,7 @@ def test_criterion_08_function_words_converge_faster(desk_corpus, desk_run_rando
         assert report["groups"]["function"] < report["groups"]["non_function"]
 
 
+@pytest.mark.slow
 def test_criterion_09_ptw_upweights_hard_words(desk_run_ptw):
     with criterion(9, "ptw desk run: non-function masking weights above function"):
         state, sink, _ = desk_run_ptw

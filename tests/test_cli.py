@@ -714,6 +714,16 @@ def test_eval_all_checkpoints(workdir, trained_run, tmp_path):
     assert steps == [0, 12, 24]
 
 
+def test_eval_hashes_the_vocabulary_once(workdir, trained_run, tmp_path, monkeypatch):
+    # load_meta checks the vocabulary against meta.json; checkpoints compare to that hash
+    calls = []
+    content_hash = Vocabulary.content_hash
+    monkeypatch.setattr(Vocabulary, "content_hash", lambda v: calls.append(1) or content_hash(v))
+    assert main(["eval", "--run", str(trained_run), "--heldout", str(workdir / "heldout.txt"),
+                 "--checkpoint", "all", "--out", str(tmp_path / "all.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_eval_vocab_mismatch_rejected(workdir, trained_run, tmp_path, capsys):
     # re-point the run at a differently-built corpus: hash check must fire
     other_corpus = tmp_path / "other.txt"

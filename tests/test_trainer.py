@@ -5,11 +5,9 @@ import pytest
 
 from tvmask.config import ConfigError, RunConfig
 from tvmask.corpus.packing import pack_to_arrays
-from tvmask.corpus.synth import generate_sentences
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import ModelConfig, backward_masked, forward_masked, softmax_xent
-from tvmask.postags import pos_id
 from tvmask.schedule import ScheduleKind, ScheduleSpec
 from tvmask.trainer import (
     ListSink,
@@ -24,14 +22,16 @@ from tvmask.trainer import (
     train,
 )
 
+from conftest import synth_corpus
+
 MICRO_MODEL = dict(layers=1, hidden_dim=16, heads=2, ff_dim=32)
 
 
 @pytest.fixture(scope="module")
 def micro_data():
-    sentences = [[(f, pos_id(t)) for f, t in s] for s in generate_sentences(12000, 31)]
-    vocab = build_vocab(iter(sentences), 512)
-    tokens, pos, special = pack_to_arrays(sentences, 32, vocab)
+    corpus = synth_corpus(12000, 31)
+    vocab = build_vocab(corpus, 512)
+    tokens, pos, special = pack_to_arrays(corpus, 32, vocab)
     return tokens, pos, special, vocab
 
 
@@ -272,9 +272,9 @@ def test_eval_independent_of_batch_size(micro_data):
 def test_eval_independent_of_chunk_size_at_desk_shape():
     # the desk model's L and widths: each chunk's linears are one [chunk * L, n]
     # GEMM, so equal reports need BLAS rows that do not depend on the row count
-    sentences = [[(f, pos_id(t)) for f, t in s] for s in generate_sentences(800, 7)]
-    vocab = build_vocab(iter(sentences), 1024)
-    tokens, pos, special = pack_to_arrays(sentences, 128, vocab)
+    corpus = synth_corpus(800, 7)
+    vocab = build_vocab(corpus, 1024)
+    tokens, pos, special = pack_to_arrays(corpus, 128, vocab)
     assert tokens.shape[0] >= 12
     cfg = ModelConfig(vocab_size=vocab.size, L_seq=128)
     assert (cfg.hidden_dim, cfg.ff_dim) == (128, 512)

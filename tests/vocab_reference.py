@@ -1,9 +1,10 @@
 """Reference piece ranking for tests: every candidate piece ranked by a
 full sort, as ``build_vocab`` once did.
 
-``build_vocab(sentences, size).tokens`` must equal the reserved tokens
-followed by the three ranked groups of ``ranked_groups``, cut at size; the
-randomized test in test_corpus.py holds it to that.
+``build_vocab(TaggedCorpus.from_sentences(sentences), size).tokens`` must
+equal the reserved tokens followed by the three ranked groups of
+``ranked_groups(sentences)``, cut at size; the randomized tests in
+test_corpus.py hold it to that.
 """
 
 from __future__ import annotations
