@@ -279,7 +279,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", required=True, choices=[k.value for k in ScheduleKind])
     p.add_argument("--p", type=float, default=0.15)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--floor", type=float, default=None)
+    p.add_argument("--floor", type=float, default=0.0)
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_export_schedule)
 

@@ -7,11 +7,12 @@ regenerated from (inputs, config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, replace
 
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import LOSS_MODES, ModelConfig
-from tvmask.schedule import ScheduleKind, ScheduleSpec, default_floor, ratio_at, shape
+from tvmask.schedule import ScheduleKind, ScheduleSpec, ratio_at, shape
 from tvmask.tracker import CategoryLossTracker
 
 
@@ -27,7 +28,7 @@ class RunConfig:
     schedule_kind: str = "fixed"
     schedule_p: float = 0.15
     schedule_T: int = 0          # 0 -> use train_T
-    schedule_floor: float = -1.0  # negative -> kind default
+    schedule_floor: float = 0.0
     ptw_beta: float = 0.99
     ptw_mu: float = 1.0
     ptw_loss_mode: str = "per-token-mean"
@@ -41,7 +42,7 @@ class RunConfig:
     model_tied: bool = True
     lr_base: float = 1e-3
     lr_warmup: int = 100
-    lr_shape: str = ""           # empty -> mirror schedule.kind
+    lr_shape: str = "fixed"      # constant after warmup, whatever schedule.kind is
     train_T: int = 2000
     train_batch_size: int = 16
     train_checkpoint_every: int = 500
@@ -49,15 +50,8 @@ class RunConfig:
     run_out: str = ""
 
     def resolved(self) -> "RunConfig":
-        """Fill the derived defaults so every key has a concrete value."""
-        out = RunConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
-        if out.schedule_T == 0:
-            out.schedule_T = out.train_T
-        if out.schedule_floor < 0:
-            out.schedule_floor = default_floor(ScheduleKind(out.schedule_kind))
-        if not out.lr_shape:
-            out.lr_shape = out.schedule_kind
-        return out
+        """A copy with schedule.T filled in (0 -> train.T), the one derived default."""
+        return replace(self, schedule_T=self.schedule_T or self.train_T)
 
     def schedule_spec(self) -> ScheduleSpec:
         """The masking-ratio schedule; call on a resolved config."""
@@ -80,15 +74,23 @@ class RunConfig:
         """Build the library objects this config describes; each one's own
         checks are the rules, reported as a ConfigError naming the keys."""
         _build("schedule.kind", ScheduleKind, self.schedule_kind)
-        lr_shape = _build("lr.shape", ScheduleKind, self.lr_shape or self.schedule_kind)
+        lr_shape = _build("lr.shape", ScheduleKind, self.lr_shape)
         if self.ptw_loss_mode not in LOSS_MODES:
             raise ConfigError(f"unknown ptw.loss_mode {self.ptw_loss_mode!r}")
         if len(self.mask_corrupt_split) != 3:
             raise ConfigError("mask.corrupt_split needs three comma-separated fractions")
         _build("mask.strategy / mask.corrupt_split", self.mask_policy)
         _build("ptw.beta / ptw.mu", CategoryLossTracker, self.ptw_beta, self.ptw_mu)
-        if self.train_T < 0 or self.train_batch_size < 1:
-            raise ConfigError("train.T must be >= 0 and train.batch_size >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is int and value < 0:
+                raise ConfigError(f"{_key(f.name)} must be >= 0, got {value}")
+        if self.train_batch_size < 1:
+            raise ConfigError("train.batch_size must be >= 1")
+        if not (math.isfinite(self.lr_base) and self.lr_base > 0.0):
+            raise ConfigError(f"lr.base must be finite and > 0, got {self.lr_base}")
+        _build("model.layers / model.hidden_dim / model.heads / model.ff_dim",
+               self.model_config, 1, 1)  # placeholder vocabulary size and L_seq
         if 0 < self.schedule_T < self.train_T:
             raise ConfigError(f"schedule.T = {self.schedule_T} ends before train.T = "
                               f"{self.train_T}; set schedule.T >= train.T or 0")

@@ -40,9 +40,9 @@ class MaskPolicy:
         if self.strategy not in ("random", "ptw"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         fracs = (self.mask_frac, self.random_frac, self.keep_frac)
-        if min(fracs) < 0.0:
-            raise ValueError("corruption fractions must be non-negative")
-        if abs(sum(fracs) - 1.0) > _SPLIT_TOL:
+        if not all(frac >= 0.0 for frac in fracs):  # NaN fails too
+            raise ValueError(f"corruption fractions must be non-negative, got {fracs}")
+        if not abs(sum(fracs) - 1.0) <= _SPLIT_TOL:
             raise ValueError(f"corruption fractions must sum to 1, got {sum(fracs)}")
 
 
@@ -62,7 +62,7 @@ def target_count(ratio: float, n_maskable):
     """Number of positions to mask: round(ratio * n_maskable), at least 1
     while the ratio is nonzero so floor-ratio batches still train.
     Elementwise when ``n_maskable`` is an array."""
-    if ratio < 0.0 or ratio >= 1.0:
+    if not 0.0 <= ratio < 1.0:  # NaN fails too
         raise ValueError(f"ratio must be in [0, 1), got {ratio}")
     n = np.asarray(n_maskable, dtype=np.int64)
     count = (ratio * n + 0.5).astype(np.int64)

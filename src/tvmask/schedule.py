@@ -5,7 +5,7 @@ masking ratio at step t in [0, T] scales it by a peak: decaying kinds
 start at twice the base ratio p and end at (or near) zero, so the mean
 ratio over a full run stays close to p and a decayed run masks about as
 many tokens as a fixed-p run. The learning rate warms up linearly, then
-scales the same shape by the base rate.
+scales the shape of its own kind by the base rate.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ class ScheduleKind(enum.Enum):
     ASCEND_THEN_DECAY = "ascend_then_decay"
 
 
-def default_floor(kind: ScheduleKind) -> float:
-    """Cosine keeps a 0.02 floor so late-stage batches still carry masked tokens."""
-    return 0.02 if kind is ScheduleKind.COSINE else 0.0
-
-
 @dataclass(frozen=True)
 class ScheduleSpec:
     """Schedule family member: kind, base ratio p, horizon T, minimum ratio."""
@@ -40,15 +35,13 @@ class ScheduleSpec:
     kind: ScheduleKind
     p: float = 0.15
     T: int = 1
-    floor: float | None = None  # None -> kind default
+    floor: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.p <= 0.5:
             raise ValueError(f"base ratio p must be in (0, 0.5], got {self.p}")
         if self.T < 1:
             raise ValueError(f"total steps T must be >= 1, got {self.T}")
-        if self.floor is None:
-            object.__setattr__(self, "floor", default_floor(self.kind))
         if not 0.0 <= self.floor < 2.0 * self.p:
             raise ValueError(f"floor must be in [0, 2p), got {self.floor}")
 
@@ -76,8 +69,8 @@ def ratio_at(spec: ScheduleSpec, t: int) -> float:
     """Masking ratio at step t, clamped to [spec.floor, 1).
 
     The peak is p for the fixed kind and 2p otherwise; cosine adds 0.02
-    on top. t may equal T (final checkpoint boundary); anything outside
-    [0, T] is an error.
+    on top, so its late batches still carry masked tokens. t may equal T
+    (final checkpoint boundary); anything outside [0, T] is an error.
     """
     if t < 0 or t > spec.T:
         raise ValueError(f"step {t} outside [0, {spec.T}]")

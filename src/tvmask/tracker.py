@@ -29,7 +29,7 @@ class CategoryLossTracker:
     def __init__(self, beta: float = 0.99, mu: float = 1.0):
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {beta}")
-        if mu <= 0.0:
+        if not mu > 0.0:  # NaN fails too
             raise ValueError(f"mu must be > 0, got {mu}")
         # population z-scores of the categories satisfy |z| <= sqrt(N - 1); the
         # lowest possible weight must not underflow to 0, or its positions

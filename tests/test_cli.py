@@ -283,7 +283,7 @@ def test_train_resume_refuses_changed_config(workdir, tmp_path, capsys):
     cases = [
         ({"schedule.kind": "fixed", "mask.strategy": "ptw"},
          {"schedule.kind": "cosine", "mask.strategy": "random"},
-         ["schedule.kind", "schedule.floor", "mask.strategy", "lr.shape"]),
+         ["schedule.kind", "mask.strategy"]),
         ({"train.T": 60, "train.checkpoint_every": 25}, {"train.T": 40},
          ["schedule.T", "train.T", "train.checkpoint_every"]),
     ]
@@ -488,9 +488,22 @@ def test_train_bad_ptw_values_rejected_before_run_dir(workdir, tmp_path):
 
 
 def test_train_bad_config_rejected_before_run_dir(workdir, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    # after the first three, each value would pass a weaker check and then fail
+    # mid-run, train silently wrong or leave the run unresumable
     for i, kv in enumerate([{"schedule.T": 20, "train.T": 40},
                             {"mask.corrupt_split": "0.5,0.1,0.1"},
-                            {"corpus.prepared": str(tmp_path / "missing")}]):
+                            {"corpus.prepared": missing},
+                            {"ptw.snapshot_every": -3},
+                            {"ptw.mu": "nan", "mask.strategy": "ptw"},
+                            {"mask.corrupt_split": "nan,0.1,0.1"},
+                            {"mask.corrupt_split": "0.8,nan,0.1"},
+                            {"lr.base": "nan"},
+                            {"lr.base": -0.001},
+                            {"lr.warmup": -5},
+                            {"train.checkpoint_every": -10},
+                            {"run.seed": -1},
+                            {"model.heads": 3, "corpus.prepared": missing}]):
         cfg = write_cfg(tmp_path / f"bad{i}.cfg", micro_config(workdir, **kv))
         out = tmp_path / f"run{i}"
         assert main(["train", cfg, "--out", str(out)]) == 1, kv
@@ -499,6 +512,20 @@ def test_train_bad_config_rejected_before_run_dir(workdir, tmp_path, capsys):
     # a schedule longer than the run is fine
     cfg = write_cfg(tmp_path / "long.cfg", micro_config(workdir, **{"schedule.T": 40}))
     assert main(["train", cfg, "--out", str(tmp_path / "long"), "--steps", "20"]) == 0
+
+
+def test_train_resume_needs_the_runs_lr_shape(workdir, tmp_path, capsys):
+    # a run whose config.txt holds lr.shape = linear, as a linear-schedule run did
+    # when lr.shape followed schedule.kind, resumes only with that line in its config
+    with_line = write_cfg(tmp_path / "a.cfg", micro_config(workdir, **{"lr.shape": "linear"}))
+    without = write_cfg(tmp_path / "b.cfg", micro_config(workdir))
+    out = tmp_path / "run"
+    assert main(["train", with_line, "--out", str(out)]) == 0
+    os.remove(sorted((out / "checkpoints").iterdir())[-1])  # interrupted before the end
+    capsys.readouterr()
+    assert main(["train", without, "--out", str(out), "--resume"]) == 1
+    assert "lr.shape differ" in capsys.readouterr().err
+    assert main(["train", with_line, "--out", str(out), "--resume"]) == 0
 
 
 def test_train_resume_without_checkpoint_errors(workdir, tmp_path, capsys):
@@ -606,6 +633,15 @@ def test_export_schedule_endpoints(tmp_path):
     assert len(rows) == 102
     assert float(rows[1].split(",")[1]) == pytest.approx(0.32, abs=1e-12)
     assert float(rows[-1].split(",")[1]) == pytest.approx(0.02, abs=1e-12)
+
+
+def test_export_schedule_cosine_below_the_offset(tmp_path):
+    # no floor given: cosine at p = 0.005 runs from 0.03 down to its 0.02 offset
+    out = tmp_path / "sched.csv"
+    assert main(["export-schedule", "--kind", "cosine", "--p", "0.005",
+                 "--steps", "4", "--out", str(out)]) == 0
+    ratios = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+    assert ratios[0] == pytest.approx(0.03) and ratios[-1] == pytest.approx(0.02)
 
 
 def test_export_run_artifacts(workdir, tmp_path):
@@ -868,6 +904,12 @@ def test_mask_debug_json(workdir, capsys):
         assert plan["masked_indices"]
         assert 0 not in plan["masked_indices"]  # CLS never masked
         assert set(plan["actions"]) <= {"mask", "random", "keep"}
+
+
+def test_mask_debug_nan_ratio_rejected(workdir, capsys):
+    assert main(["mask-debug", "--prepared", str(workdir / "prep"), "--ratio", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert "ratio must be in [0, 1), got nan" in captured.err and not captured.out
 
 
 def test_mask_debug_refuses_cut_vocabulary(workdir, tmp_path, capsys):

@@ -21,7 +21,7 @@ def test_default_file_text_is_pinned():
         "schedule.kind = fixed\n"
         "schedule.p = 0.15\n"
         "schedule.T = 0\n"
-        "schedule.floor = -1.0\n"
+        "schedule.floor = 0.0\n"
         "ptw.beta = 0.99\n"
         "ptw.mu = 1.0\n"
         "ptw.loss_mode = per-token-mean\n"
@@ -35,7 +35,7 @@ def test_default_file_text_is_pinned():
         "model.tied = true\n"
         "lr.base = 0.001\n"
         "lr.warmup = 100\n"
-        "lr.shape = \n"
+        "lr.shape = fixed\n"
         "train.T = 2000\n"
         "train.batch_size = 16\n"
         "train.checkpoint_every = 500\n"
@@ -85,11 +85,11 @@ def test_bool_parsing():
 def test_resolved_fills_derived_defaults():
     cfg = from_text("train.T = 400\nschedule.kind = cosine\n").resolved()
     assert cfg.schedule_T == 400
-    assert cfg.schedule_floor == 0.02
-    assert cfg.lr_shape == "cosine"
+    assert cfg.schedule_floor == 0.0
+    assert cfg.lr_shape == "fixed"
     lin = from_text("train.T = 10\nschedule.kind = linear\n").resolved()
     assert lin.schedule_floor == 0.0
-    assert lin.lr_shape == "linear"
+    assert lin.lr_shape == "fixed"
 
 
 def test_explicit_values_not_overridden_by_resolve():
@@ -136,6 +136,12 @@ def test_validate_error_names_the_key():
         ("lr.shape = ascend_then_decay\n", "lr.shape"),
         ("ptw.mu = 0.001\n", "ptw.mu"),
         ("ptw.beta = 1.5\n", "ptw.beta"),
+        ("model.heads = 3\n", "model.heads"),  # the hidden size must split evenly
     ):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             from_text(text).validate()
+
+
+def test_ascending_schedule_with_floor_validates_without_lr_shape():
+    for kind in ("ascending", "ascend_then_decay"):
+        from_text(f"schedule.kind = {kind}\nschedule.floor = 0.01\n").validate()

@@ -67,6 +67,8 @@ def test_target_count_validation():
         target_count(1.0, 10)
     with pytest.raises(ValueError):
         target_count(-0.1, 10)
+    with pytest.raises(ValueError, match="ratio"):
+        target_count(float("nan"), 10)
 
 
 # ------------------------------------------------------------ selection
@@ -204,6 +206,10 @@ def test_policy_validation():
         MaskPolicy(mask_frac=0.8, random_frac=0.3, keep_frac=0.1)
     with pytest.raises(ValueError):
         MaskPolicy(mask_frac=-0.1, random_frac=1.0, keep_frac=0.1)
+    nan = float("nan")
+    for split in ((nan, 0.1, 0.1), (0.8, nan, 0.1), (0.8, 0.1, nan)):
+        with pytest.raises(ValueError, match="corruption fractions"):
+            MaskPolicy(mask_frac=split[0], random_frac=split[1], keep_frac=split[2])
 
 
 # ------------------------------------------------------------ build_plan

@@ -122,9 +122,10 @@ def test_floor_clamps():
     spec = ScheduleSpec(ScheduleKind.LINEAR, p=0.15, T=100, floor=0.05)
     assert ratio_at(spec, 100) == 0.05
     assert ratio_at(spec, 0) == pytest.approx(0.30)
-    # cosine default floor comes from the kind
+    # the floor defaults to 0 for every kind; cosine's 0.02 is its offset
     cos = ScheduleSpec(ScheduleKind.COSINE, p=0.15, T=100)
-    assert cos.floor == 0.02
+    assert cos.floor == 0.0
+    assert ratio_at(cos, 100) == pytest.approx(0.02)
     lin = ScheduleSpec(ScheduleKind.LINEAR, p=0.15, T=100)
     assert lin.floor == 0.0
 
@@ -180,3 +181,14 @@ def test_lr_mirrors_ratio_shape(kind):
                     (r - offset) / peak, abs=1e-12), (p, T, t)
                 checked += 1
     assert checked > 2000
+
+
+def test_cosine_floor_never_binds():
+    # cosine ends at its 0.02 offset, so a 0.02 floor changes no ratio
+    for p in np.linspace(0.011, 0.5, 25):
+        for T in (1, 2, 3, 7, 100, 997):
+            at_zero = ScheduleSpec(ScheduleKind.COSINE, p=p, T=T)
+            at_offset = ScheduleSpec(ScheduleKind.COSINE, p=p, T=T, floor=0.02)
+            assert at_zero.floor == 0.0
+            assert list(schedule_rows(at_zero)) == list(schedule_rows(at_offset)), (p, T)
+            assert expected_mass(at_zero) == expected_mass(at_offset), (p, T)

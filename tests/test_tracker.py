@@ -67,6 +67,8 @@ def test_update_validation():
         CategoryLossTracker(beta=1.0)
     with pytest.raises(ValueError):
         CategoryLossTracker(mu=0.0)
+    with pytest.raises(ValueError, match="mu"):
+        CategoryLossTracker(mu=float("nan"))
     with pytest.raises(ValueError, match="underflows"):
         CategoryLossTracker(mu=0.001)  # the lowest weight sigmoid(-4 / mu) is 0
 
