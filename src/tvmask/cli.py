@@ -25,9 +25,8 @@ from tvmask.corpus.reader import load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.vocab import build_vocab, check_vocab_size
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
-from tvmask.postags import UPOS_TAGS
 from tvmask.rundir import JsonlSink
-from tvmask.schedule import ScheduleKind, ScheduleSpec, schedule_rows
+from tvmask.schedule import schedule_rows
 from tvmask.trainer import (TrainAbort, check_eval_ratio, checkpoint_path, checkpoint_steps,
                             eval_mlm, load_checkpoint, load_params, train)
 
@@ -129,25 +128,17 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- export
 
 def cmd_export_schedule(args) -> int:
-    _write_schedule_csv(args.out, ScheduleSpec(ScheduleKind(args.kind), p=args.p,
-                                               T=args.steps, floor=args.floor))
+    spec = cfgmod.load(args.config).resolved().schedule_spec()
+    _write_csv(args.out, ["step", "ratio"], ((t, repr(r)) for t, r in schedule_rows(spec)))
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    cfg = rundir.read_config(args.run)
-    if args.what == "schedule":
-        _write_schedule_csv(args.out, cfg.schedule_spec())
-        return EXIT_OK
     column = "cum_loss" if args.what == "losses" else "weight"
     rows = rundir.read_rows(args.run, rundir.SNAPSHOTS, ("category_name", column))
     _write_csv(args.out, ["step", "category", column],
                ((row["step"], row["category_name"], repr(row[column])) for row in rows))
     return EXIT_OK
-
-
-def _write_schedule_csv(out_path, spec: ScheduleSpec) -> None:
-    _write_csv(out_path, ["step", "ratio"], ((t, repr(r)) for t, r in schedule_rows(spec)))
 
 
 def _write_csv(out_path, header, rows) -> None:
@@ -225,11 +216,8 @@ def cmd_mask_debug(args) -> int:
         if not 0 <= row < n_sequences:
             raise ValueError(f"--rows {row} is outside the corpus's {n_sequences} sequences "
                            f"(0 to {n_sequences - 1})")
-    # uniform category weights; the random strategy ignores them
     plan = build_batch(tokens[rows], pos_ids[rows], special[rows], args.ratio,
-                       MaskPolicy(strategy=args.strategy), vocab,
-                       np.random.default_rng(args.seed),
-                       weights_by_category=np.full(len(UPOS_TAGS), 0.5))
+                       MaskPolicy(), vocab, np.random.default_rng(args.seed))
     plans = []
     for j, row in enumerate(rows):
         mine = plan.rows == j
@@ -275,17 +263,15 @@ def build_parser() -> _Parser:
     start.add_argument("--force", action="store_true", help="overwrite an existing run")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("export-schedule", help="dump (step, ratio) pairs as CSV")
-    p.add_argument("--kind", required=True, choices=[k.value for k in ScheduleKind])
-    p.add_argument("--p", type=float, default=0.15)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--floor", type=float, default=0.0)
+    p = sub.add_parser("export-schedule",
+                       help="dump a config file's (step, ratio) schedule as CSV")
+    p.add_argument("config", help="config file, such as a run's config.txt")
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_export_schedule)
 
-    p = sub.add_parser("export", help="dump run artifacts as tidy CSV")
+    p = sub.add_parser("export", help="dump a run's per-category losses or weights as CSV")
     p.add_argument("--run", required=True)
-    p.add_argument("--what", required=True, choices=["schedule", "losses", "weights"])
+    p.add_argument("--what", required=True, choices=["losses", "weights"])
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_export)
 
@@ -298,11 +284,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help=f"report path (default <run>/{rundir.EVAL_REPORT})")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("mask-debug", help="dump mask plans as JSON")
+    p = sub.add_parser("mask-debug", help="dump random-strategy mask plans as JSON")
     p.add_argument("--prepared", required=True)
     p.add_argument("--rows", default="0")
     p.add_argument("--ratio", type=float, default=0.15)
-    p.add_argument("--strategy", default="random", choices=["random", "ptw"])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mask_debug)
     return parser
@@ -314,7 +299,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (FileNotFoundError, ValueError) as err:  # usage, config and corpus errors
+    except (OSError, ValueError) as err:  # usage, config, corpus and path errors
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

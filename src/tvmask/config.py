@@ -167,7 +167,10 @@ def from_text(text: str) -> RunConfig:
         if key not in names:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         name = names[key]
-        setattr(cfg, name, _parse_value(type(getattr(cfg, name)), raw))
+        try:
+            setattr(cfg, name, _parse_value(type(getattr(cfg, name)), raw))
+        except ValueError as err:
+            raise ConfigError(f"line {lineno}: {key}: {err}") from None
     return cfg
 
 

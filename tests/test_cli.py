@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import tvmask
-from tvmask import trainer
+from tvmask import rundir, trainer
 from tvmask.cli import main
 from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.vocab import Vocabulary
 from tvmask.postags import UPOS_TAGS
+from tvmask.schedule import schedule_rows
 from tvmask.trainer import load_checkpoint
 
 HAND_CORPUS = """\
@@ -503,7 +504,10 @@ def test_train_bad_config_rejected_before_run_dir(workdir, tmp_path, capsys):
                             {"lr.warmup": -5},
                             {"train.checkpoint_every": -10},
                             {"run.seed": -1},
-                            {"model.heads": 3, "corpus.prepared": missing}]):
+                            {"model.heads": 3, "corpus.prepared": missing},
+                            {"train.T": "1.5"},
+                            {"mask.corrupt_split": "0.8,x,0.1"},
+                            {"model.tied": "maybe"}]):
         cfg = write_cfg(tmp_path / f"bad{i}.cfg", micro_config(workdir, **kv))
         out = tmp_path / f"run{i}"
         assert main(["train", cfg, "--out", str(out)]) == 1, kv
@@ -626,8 +630,9 @@ def test_benchmark_clock_targets_resolve(monkeypatch):
 
 def test_export_schedule_endpoints(tmp_path):
     out = tmp_path / "sched.csv"
-    assert main(["export-schedule", "--kind", "cosine", "--p", "0.15",
-                 "--steps", "100", "--out", str(out)]) == 0
+    cfg = write_cfg(tmp_path / "a.cfg",
+                    "schedule.kind = cosine\nschedule.p = 0.15\ntrain.T = 100\n")
+    assert main(["export-schedule", cfg, "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
     assert rows[0] == "step,ratio"
     assert len(rows) == 102
@@ -638,10 +643,34 @@ def test_export_schedule_endpoints(tmp_path):
 def test_export_schedule_cosine_below_the_offset(tmp_path):
     # no floor given: cosine at p = 0.005 runs from 0.03 down to its 0.02 offset
     out = tmp_path / "sched.csv"
-    assert main(["export-schedule", "--kind", "cosine", "--p", "0.005",
-                 "--steps", "4", "--out", str(out)]) == 0
+    cfg = write_cfg(tmp_path / "a.cfg", "schedule.kind = cosine\nschedule.p = 0.005\ntrain.T = 4\n")
+    assert main(["export-schedule", cfg, "--out", str(out)]) == 0
     ratios = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
     assert ratios[0] == pytest.approx(0.03) and ratios[-1] == pytest.approx(0.02)
+
+
+def test_export_schedule_refuses_what_train_refuses(tmp_path, capsys):
+    # the config file is read by train's rules, so its errors name the key
+    for kv, key in (({"schedule.kind": "bogus"}, "schedule.kind"),
+                    ({"schedule.kind": "ascending"}, "schedule.floor"),
+                    ({"schedule.kind": "ascend_then_decay"}, "schedule.floor")):
+        cfg = write_cfg(tmp_path / "bad.cfg", "".join(f"{k} = {v}\n" for k, v in kv.items()))
+        capsys.readouterr()
+        assert main(["export-schedule", cfg]) == 1, kv
+        captured = capsys.readouterr()
+        assert key in captured.err and "Traceback" not in captured.err, kv
+        assert not captured.out, kv
+    out = tmp_path / "sched.csv"
+    cfg = write_cfg(tmp_path / "a.cfg", "schedule.kind = ascending\nschedule.floor = 0.01\n"
+                                        "train.T = 10\n")
+    assert main(["export-schedule", cfg, "--out", str(out)]) == 0
+    ratios = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+    assert len(ratios) == 11 and ratios[0] == pytest.approx(0.01)
+
+
+def test_export_schedule_old_flags_refused(tmp_path, capsys):
+    assert main(["export-schedule", "--kind", "cosine", "--steps", "10"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_export_run_artifacts(workdir, tmp_path):
@@ -664,9 +693,10 @@ def test_export_run_artifacts(workdir, tmp_path):
     assert len(lrows) == len(snapshots) * len(UPOS_TAGS)
 
     scsv = tmp_path / "sched.csv"
-    assert main(["export", "--run", run, "--what", "schedule", "--out", str(scsv)]) == 0
-    srows = scsv.read_text().splitlines()
-    assert len(srows) == 24 + 2  # header + T+1 rows
+    assert main(["export-schedule", os.path.join(run, "config.txt"), "--out", str(scsv)]) == 0
+    expected = [(t, repr(r)) for t, r in schedule_rows(rundir.read_config(run).schedule_spec())]
+    assert len(expected) == 24 + 1  # T+1 rows
+    assert scsv.read_text() == "step,ratio\n" + "".join(f"{t},{r}\n" for t, r in expected)
 
 
 def test_export_survives_torn_last_line(workdir, tmp_path, capsys):
@@ -894,6 +924,25 @@ def test_bad_argument_rejected_before_any_file_is_read(trained_run, tmp_path, ca
 
 
 # ------------------------------------------------------------ misc
+
+@pytest.mark.parametrize("command", ["export-schedule", "export", "eval", "prepare", "train"])
+def test_directory_where_a_file_is_expected(workdir, trained_run, tmp_path, capsys, command):
+    folder = tmp_path / "a_directory"
+    folder.mkdir()
+    argv = {
+        "export-schedule": ["export-schedule", str(trained_run / "config.txt"),
+                            "--out", str(folder)],
+        "export": ["export", "--run", str(trained_run), "--what", "weights", "--out", str(folder)],
+        "eval": ["eval", "--run", str(trained_run), "--heldout", str(workdir / "heldout.txt"),
+                 "--checkpoint", "latest", "--out", str(folder)],
+        "prepare": ["prepare", "--corpus", str(folder), "--out", str(tmp_path / "prep")],
+        "train": ["train", str(folder), "--out", str(tmp_path / "run")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(folder) in err and "Traceback" not in err, err
+
 
 def test_mask_debug_json(workdir, capsys):
     assert main(["mask-debug", "--prepared", str(workdir / "prep"),

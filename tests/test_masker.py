@@ -212,19 +212,6 @@ def test_policy_validation():
             MaskPolicy(mask_frac=split[0], random_frac=split[1], keep_frac=split[2])
 
 
-# ------------------------------------------------------------ build_plan
-
-def test_build_plan_deterministic(letters_vocab):
-    seq = make_sequence(n=24, n_special_tail=3, pos_pattern=[0, 1, 4], vocab_size=letters_vocab.size)
-    policy = MaskPolicy(strategy="ptw")
-    weights = np.linspace(0.2, 0.8, 17)
-    plans = [build_plan(seq, 0.3, policy, letters_vocab, np.random.default_rng(9),
-                        weights_by_category=weights) for _ in range(2)]
-    np.testing.assert_array_equal(plans[1].indices, plans[0].indices)
-    np.testing.assert_array_equal(plans[1].actions, plans[0].actions)
-    np.testing.assert_array_equal(plans[1].corrupted_ids, plans[0].corrupted_ids)
-
-
 # ------------------------------------------------------------ one-row plans
 
 def build_one(seq, ratio, policy, vocab, rng, weights_by_category=None):
