@@ -76,10 +76,7 @@ def _prepared_dir(prepared, source: str):
 
 
 def cmd_train(args) -> int:
-    try:
-        cfg = cfgmod.read(args.config)
-    except FileNotFoundError:
-        raise ValueError(f"config file not found: {args.config}") from None
+    cfg = cfgmod.read(args.config)  # a missing file is an OSError naming it
     # command-line overrides: paths, seed and T only; validated with the file below
     if args.corpus:
         cfg.corpus_prepared = args.corpus
@@ -89,8 +86,8 @@ def cmd_train(args) -> int:
         cfg.run_seed = args.seed
     if args.steps is not None:
         cfg.train_T = args.steps
-    cfg.validate()
-    cfg = cfg.resolved()
+    with cfgmod.naming(args.config):
+        cfg.validate()
     run_dir = cfg.run_out
     if not run_dir:
         raise ValueError("no output directory (set run.out or pass --out)")
@@ -128,7 +125,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- export
 
 def cmd_export_schedule(args) -> int:
-    spec = cfgmod.load(args.config).resolved().schedule_spec()
+    spec = cfgmod.load(args.config).schedule_spec()
     _write_csv(args.out, ["step", "ratio"], ((t, repr(r)) for t, r in schedule_rows(spec)))
     return EXIT_OK
 
@@ -161,6 +158,9 @@ def cmd_eval(args) -> int:
                        f"got {args.checkpoint!r}")
     run_dir = args.run
     prepared = _prepared_dir(rundir.read_config(run_dir).corpus_prepared, "corpus.prepared")
+    out = args.out or os.path.join(run_dir, rundir.EVAL_REPORT)
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ValueError(f"cannot write the report to {out}: not a file in an existing directory")
     meta, vocab = load_meta(prepared)
     L_seq = meta["L_seq"]
     tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout), L_seq, vocab)
@@ -194,7 +194,6 @@ def cmd_eval(args) -> int:
              for name, loss in result["groups"].items()}
         print(f"step {step}: overall {result['overall']:.4f}  "
               f"function {g['function']}  non_function {g['non_function']}")
-    out = args.out or os.path.join(run_dir, rundir.EVAL_REPORT)
     with open(out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -1,14 +1,15 @@
 """Run configuration: flat "section.key = value" text files.
 
-One file fully determines a run; the resolved config (every key
-explicit) is copied into the run directory so any artifact can be
-regenerated from (inputs, config, seed).
+One file fully determines a run; the config, every key explicit, is
+copied into the run directory so any artifact can be regenerated from
+(inputs, config, seed).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import LOSS_MODES, ModelConfig
@@ -27,7 +28,6 @@ class RunConfig:
     corpus_prepared: str = ""
     schedule_kind: str = "fixed"
     schedule_p: float = 0.15
-    schedule_T: int = 0          # 0 -> use train_T
     schedule_floor: float = 0.0
     ptw_beta: float = 0.99
     ptw_mu: float = 1.0
@@ -39,7 +39,6 @@ class RunConfig:
     model_hidden_dim: int = 128
     model_heads: int = 2
     model_ff_dim: int = 512
-    model_tied: bool = True
     lr_base: float = 1e-3
     lr_warmup: int = 100
     lr_shape: str = "fixed"      # constant after warmup, whatever schedule.kind is
@@ -49,14 +48,10 @@ class RunConfig:
     run_seed: int = 1234
     run_out: str = ""
 
-    def resolved(self) -> "RunConfig":
-        """A copy with schedule.T filled in (0 -> train.T), the one derived default."""
-        return replace(self, schedule_T=self.schedule_T or self.train_T)
-
     def schedule_spec(self) -> ScheduleSpec:
-        """The masking-ratio schedule; call on a resolved config."""
+        """The masking-ratio schedule, spanning the run's train.T steps."""
         return ScheduleSpec(ScheduleKind(self.schedule_kind), p=self.schedule_p,
-                            T=self.schedule_T, floor=self.schedule_floor)
+                            T=self.train_T, floor=self.schedule_floor)
 
     def mask_policy(self) -> MaskPolicy:
         """How positions are picked and corrupted."""
@@ -68,7 +63,7 @@ class RunConfig:
         """The encoder for a prepared corpus with this vocabulary size and L_seq."""
         return ModelConfig(layers=self.model_layers, hidden_dim=self.model_hidden_dim,
                            heads=self.model_heads, ff_dim=self.model_ff_dim,
-                           vocab_size=vocab_size, L_seq=L_seq, tied=self.model_tied)
+                           vocab_size=vocab_size, L_seq=L_seq)
 
     def validate(self) -> None:
         """Build the library objects this config describes; each one's own
@@ -91,10 +86,7 @@ class RunConfig:
             raise ConfigError(f"lr.base must be finite and > 0, got {self.lr_base}")
         _build("model.layers / model.hidden_dim / model.heads / model.ff_dim",
                self.model_config, 1, 1)  # placeholder vocabulary size and L_seq
-        if 0 < self.schedule_T < self.train_T:
-            raise ConfigError(f"schedule.T = {self.schedule_T} ends before train.T = "
-                              f"{self.train_T}; set schedule.T >= train.T or 0")
-        spec = _build("schedule.p / schedule.T / schedule.floor", self.resolved().schedule_spec)
+        spec = _build("schedule.p / train.T / schedule.floor", self.schedule_spec)
         if ratio_at(spec, 0) == 0.0:
             raise ConfigError(f"schedule.kind = {self.schedule_kind} masks no token at step 0 "
                               f"with schedule.floor = {spec.floor}; set schedule.floor > 0")
@@ -122,8 +114,6 @@ def differing_keys(a: RunConfig, b: RunConfig) -> list[str]:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(repr(v) for v in value)
     if isinstance(value, float):
@@ -132,12 +122,6 @@ def _format_value(value) -> str:
 
 
 def _parse_value(field_type, raw: str):
-    if field_type is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
     if field_type is int:
         return int(raw)
     if field_type is float:
@@ -174,16 +158,26 @@ def from_text(text: str) -> RunConfig:
     return cfg
 
 
+@contextlib.contextmanager
+def naming(path):
+    """A ConfigError raised inside, its message prefixed with the file it came from."""
+    try:
+        yield
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
 def read(path) -> RunConfig:
     """The config in a file, not yet validated. A leading UTF-8 byte-order
     mark is ignored."""
-    with open(path, encoding="utf-8-sig") as f:
+    with open(path, encoding="utf-8-sig") as f, naming(path):
         return from_text(f.read())
 
 
 def load(path) -> RunConfig:
     cfg = read(path)
-    cfg.validate()
+    with naming(path):
+        cfg.validate()
     return cfg
 
 

@@ -35,7 +35,6 @@ class ModelConfig:
     ff_dim: int = 512
     vocab_size: int = 8192
     L_seq: int = 128
-    tied: bool = True
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -71,8 +70,6 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
         "head_ln_b": np.zeros(H, dtype=dt),
         "out_bias": np.zeros(V, dtype=dt),
     }
-    if not cfg.tied:
-        params["out_w"] = normal(H, V)
     for i in range(cfg.layers):
         p = f"l{i}_"
         params[p + "wq"] = normal(H, H)
@@ -249,20 +246,19 @@ def encode(params, cfg: ModelConfig, token_ids, pad_mask, mrows, mcols):
     return x, cache
 
 
-def _head(params, cfg: ModelConfig, h):
+def _head(params, h):
     """MLM head on a [N, H] slab of hidden states -> logits [N, V]."""
     t_pre = _linear(h, params["head_w"], params["head_b"])
     t_act, t_tanh = gelu_cached(t_pre)
     t_out, head_ln = layernorm(t_act, params["head_ln_g"], params["head_ln_b"])
-    out_w = params["tok_emb"].T if cfg.tied else params["out_w"]
-    logits = _linear(t_out, out_w, params["out_bias"])
+    logits = _linear(t_out, params["tok_emb"].T, params["out_bias"])
     return logits, {"h": h, "t_pre": t_pre, "t_tanh": t_tanh, "t_out": t_out, "head_ln": head_ln}
 
 
 def forward_masked(params, cfg: ModelConfig, token_ids, pad_mask, mrows, mcols):
     """Logits only at the masked positions (mrows[i], mcols[i]); mrows must be non-decreasing."""
     hidden, cache = encode(params, cfg, token_ids, pad_mask, mrows, mcols)
-    logits, cache["head"] = _head(params, cfg, hidden)
+    logits, cache["head"] = _head(params, hidden)
     cache["mrows"] = mrows  # read by perfbench's backward FLOP counter
     return logits, cache
 
@@ -322,8 +318,7 @@ def backward_masked(params, cfg: ModelConfig, cache, dlogits):
     """Gradients of a scalar with given dlogits at the masked positions."""
     grads = {name: None for name in params}
     hc = cache["head"]
-    out_w = params["tok_emb"].T if cfg.tied else params["out_w"]
-    d_tout = dlogits @ out_w.T
+    d_tout = dlogits @ params["tok_emb"]
     grads["out_bias"] = dlogits.sum(axis=0)
     d_tpre, grads["head_ln_g"], grads["head_ln_b"] = layernorm_backward(
         d_tout, params["head_ln_g"], hc["head_ln"]
@@ -347,10 +342,7 @@ def backward_masked(params, cfg: ModelConfig, cache, dlogits):
     grads["pos_emb"] = d_pos
     d_tok = np.zeros_like(params["tok_emb"])
     np.add.at(d_tok, token_ids, d_emb)
-    if cfg.tied:  # the output projection's gradient, in tok_emb's [V, H] layout
-        d_tok += dlogits.T @ hc["t_out"]
-    else:
-        grads["out_w"] = hc["t_out"].T @ dlogits
+    d_tok += dlogits.T @ hc["t_out"]  # the tied output projection's gradient
     grads["tok_emb"] = d_tok
     return grads
 

@@ -1,8 +1,8 @@
-"""The run directory's layout, and its one reader and writer: the resolved
-config, a JSON row per step and per category snapshot, checkpoints in
-tvmask.trainer's format, eval's default report and, while train writes
-the run, its lock. Every refusal is a ValueError naming the directory or
-file.
+"""The run directory's layout, and its one reader and writer: the config,
+every key explicit, a JSON row per step and per category snapshot,
+checkpoints in tvmask.trainer's format, eval's default report and, while
+train writes the run, its lock. Every refusal is a ValueError naming the
+directory or file.
 """
 
 from __future__ import annotations

@@ -22,8 +22,6 @@ class ScheduleKind(enum.Enum):
     FIXED = "fixed"
     LINEAR = "linear"
     COSINE = "cosine"
-    QUAD_CONCAVE = "quad_concave"  # 2p * (1 - (t/T)^2), fast late decay
-    QUAD_CONVEX = "quad_convex"    # 2p * (1 - t/T)^2, fast early decay
     ASCENDING = "ascending"
     ASCEND_THEN_DECAY = "ascend_then_decay"
 
@@ -54,10 +52,6 @@ def shape(kind: ScheduleKind, s: float) -> float:
         return 1.0 - s
     if kind is ScheduleKind.COSINE:
         return 0.5 * (1.0 + math.cos(math.pi * s))
-    if kind is ScheduleKind.QUAD_CONCAVE:
-        return 1.0 - s * s
-    if kind is ScheduleKind.QUAD_CONVEX:
-        return (1.0 - s) ** 2
     if kind is ScheduleKind.ASCENDING:
         return s
     if kind is ScheduleKind.ASCEND_THEN_DECAY:

@@ -37,7 +37,7 @@ _TAG_BATCH = 1
 _TAG_MASK = 2
 _TAG_EVAL = 3
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 CLIP_NORM = 1.0  # global gradient-norm cap
 
 
@@ -118,7 +118,6 @@ def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, voca
     The sink is flushed before each checkpoint is written, so a run killed
     at any point has the rows of every step its latest checkpoint holds.
     """
-    cfg = cfg.resolved()
     cfg.validate()
     schedule_spec = cfg.schedule_spec()
     policy = cfg.mask_policy()

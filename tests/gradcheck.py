@@ -14,7 +14,7 @@ from tvmask.model.net import (
 )
 
 TINY_CONFIG = ModelConfig(
-    layers=2, hidden_dim=8, heads=2, ff_dim=16, vocab_size=20, L_seq=6, tied=True,
+    layers=2, hidden_dim=8, heads=2, ff_dim=16, vocab_size=20, L_seq=6,
     dtype="float64",
 )
 

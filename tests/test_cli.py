@@ -286,7 +286,7 @@ def test_train_resume_refuses_changed_config(workdir, tmp_path, capsys):
          {"schedule.kind": "cosine", "mask.strategy": "random"},
          ["schedule.kind", "mask.strategy"]),
         ({"train.T": 60, "train.checkpoint_every": 25}, {"train.T": 40},
-         ["schedule.T", "train.T", "train.checkpoint_every"]),
+         ["train.T", "train.checkpoint_every"]),
     ]
     for i, (first, second, keys) in enumerate(cases):
         cfg = write_cfg(tmp_path / f"a{i}.cfg", micro_config(workdir, **first))
@@ -513,9 +513,20 @@ def test_train_bad_config_rejected_before_run_dir(workdir, tmp_path, capsys):
         assert main(["train", cfg, "--out", str(out)]) == 1, kv
         assert next(iter(kv)) in capsys.readouterr().err, kv
         assert not out.exists(), kv
-    # a schedule longer than the run is fine
-    cfg = write_cfg(tmp_path / "long.cfg", micro_config(workdir, **{"schedule.T": 40}))
-    assert main(["train", cfg, "--out", str(tmp_path / "long"), "--steps", "20"]) == 0
+
+
+def test_removed_settings_refused(workdir, tmp_path, capsys):
+    # a horizon of its own, an untied head and the quadratic kinds are gone
+    for i, kv in enumerate([{"schedule.T": 24}, {"model.tied": "true"},
+                            {"schedule.kind": "quad_concave"}, {"schedule.kind": "quad_convex"},
+                            {"lr.shape": "quad_convex"}]):
+        cfg = write_cfg(tmp_path / f"old{i}.cfg", micro_config(workdir, **kv))
+        out = tmp_path / f"run{i}"
+        capsys.readouterr()
+        assert main(["train", cfg, "--out", str(out)]) == 1, kv
+        err = capsys.readouterr().err
+        assert next(iter(kv)) in err and cfg in err, (kv, err)
+        assert not out.exists(), kv
 
 
 def test_train_resume_needs_the_runs_lr_shape(workdir, tmp_path, capsys):
@@ -572,9 +583,8 @@ def test_train_cli_overrides(workdir, tmp_path):
     assert len(rows) == 10
     # the file is checked with the overrides applied, so --steps can set a T
     # that the file's own train.T would not fit
-    for i, kv in enumerate([{"train.T": 0}, {"train.T": 40, "schedule.T": 20}]):
-        cfg = write_cfg(tmp_path / f"o{i}.cfg", micro_config(workdir, **kv))
-        assert main(["train", cfg, "--out", str(tmp_path / f"o{i}"), "--steps", "12"]) == 0, kv
+    cfg = write_cfg(tmp_path / "o.cfg", micro_config(workdir, **{"train.T": 0}))
+    assert main(["train", cfg, "--out", str(tmp_path / "o"), "--steps", "12"]) == 0
 
 
 def test_train_bad_config_exit_code(workdir, tmp_path, capsys):
@@ -593,7 +603,7 @@ def test_library_reads_run_without_cli(workdir, tmp_path):
         "from tvmask import config, corpus, rundir\n"
         f"cfg = config.read({cfg!r})\n"
         f"cfg.run_out = {run!r}\n"
-        f"assert rundir.read_config({run!r}) == cfg.resolved()\n"
+        f"assert rundir.read_config({run!r}) == cfg\n"
         f"steps = [row['step'] for row in rundir.read_rows({run!r}, rundir.METRICS)]\n"
         "assert steps == list(range(cfg.train_T)), steps\n"
         "*_, vocab = corpus.load_packed(cfg.corpus_prepared)\n"
@@ -778,6 +788,47 @@ def test_eval_all_checkpoints(workdir, trained_run, tmp_path):
                  "--checkpoint", "all", "--out", str(out)]) == 0
     steps = [c["step"] for c in json.loads(out.read_text())["checkpoints"]]
     assert steps == [0, 12, 24]
+
+
+def test_run_config_error_names_the_file(workdir, trained_run, tmp_path, capsys):
+    # eval and resume read the run's config.txt, not only the file the user
+    # passed; a run written before schedule.T was removed holds that key
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    for i, line in enumerate(["bogus.key = 1", "schedule.T = 24"]):
+        run = tmp_path / f"run{i}"
+        shutil.copytree(trained_run, run)
+        with open(run / "config.txt", "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+        for argv in (["eval", "--run", str(run), "--heldout", str(workdir / "heldout.txt"),
+                      "--checkpoint", "latest", "--out", str(tmp_path / "r.json")],
+                     ["train", cfg, "--out", str(run), "--resume"]):
+            capsys.readouterr()
+            assert main(argv) == 1, (line, argv[0])
+            err = capsys.readouterr().err
+            key = line.split(" = ")[0]
+            assert str(run / "config.txt") in err and key in err, (line, argv[0], err)
+
+
+def test_eval_unwritable_out_refused_before_any_checkpoint(workdir, trained_run, tmp_path,
+                                                           capsys):
+    folder = tmp_path / "a_directory"
+    folder.mkdir()
+    for out in (folder, tmp_path / "missing" / "r.json"):
+        capsys.readouterr()
+        assert main(["eval", "--run", str(trained_run), "--heldout",
+                     str(workdir / "heldout.txt"), "--out", str(out)]) == 1, out
+        captured = capsys.readouterr()
+        assert "step " not in captured.out, out
+        assert str(out) in captured.err and "Traceback" not in captured.err, captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_eval_failure_leaves_the_old_report(workdir, trained_run, tmp_path):
+    out = tmp_path / "r.json"
+    out.write_text("old report\n", encoding="utf-8")
+    assert main(["eval", "--run", str(trained_run), "--heldout", str(tmp_path / "missing.txt"),
+                 "--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "old report\n"
 
 
 def test_eval_hashes_the_vocabulary_once(workdir, trained_run, tmp_path, monkeypatch):

@@ -5,9 +5,9 @@ from tvmask.config import ConfigError, RunConfig, from_text, load, read, to_text
 
 def test_roundtrip_lossless():
     cfg = RunConfig(corpus_prepared="/data/prep", schedule_kind="cosine",
-                    schedule_p=0.1 + 0.2, schedule_T=12345, schedule_floor=0.02,
+                    schedule_p=0.1 + 0.2, schedule_floor=0.02,
                     ptw_beta=0.97, mask_strategy="ptw",
-                    mask_corrupt_split=(0.7, 0.2, 0.1), model_tied=False,
+                    mask_corrupt_split=(0.7, 0.2, 0.1),
                     lr_base=3.3e-4, train_T=777, run_seed=99, run_out="out/run")
     assert from_text(to_text(cfg)) == cfg
     # twice through the mill stays identical
@@ -20,7 +20,6 @@ def test_default_file_text_is_pinned():
         "corpus.prepared = \n"
         "schedule.kind = fixed\n"
         "schedule.p = 0.15\n"
-        "schedule.T = 0\n"
         "schedule.floor = 0.0\n"
         "ptw.beta = 0.99\n"
         "ptw.mu = 1.0\n"
@@ -32,7 +31,6 @@ def test_default_file_text_is_pinned():
         "model.hidden_dim = 128\n"
         "model.heads = 2\n"
         "model.ff_dim = 512\n"
-        "model.tied = true\n"
         "lr.base = 0.001\n"
         "lr.warmup = 100\n"
         "lr.shape = fixed\n"
@@ -75,33 +73,6 @@ def test_malformed_line_rejected():
         from_text("train.T 5\n")
 
 
-def test_bool_parsing():
-    assert from_text("model.tied = false\n").model_tied is False
-    assert from_text("model.tied = true\n").model_tied is True
-    with pytest.raises(ConfigError):
-        from_text("model.tied = maybe\n")
-
-
-def test_resolved_fills_derived_defaults():
-    cfg = from_text("train.T = 400\nschedule.kind = cosine\n").resolved()
-    assert cfg.schedule_T == 400
-    assert cfg.schedule_floor == 0.0
-    assert cfg.lr_shape == "fixed"
-    lin = from_text("train.T = 10\nschedule.kind = linear\n").resolved()
-    assert lin.schedule_floor == 0.0
-    assert lin.lr_shape == "fixed"
-
-
-def test_explicit_values_not_overridden_by_resolve():
-    cfg = from_text(
-        "train.T = 100\nschedule.kind = cosine\nschedule.T = 999\n"
-        "schedule.floor = 0.01\nlr.shape = linear\n"
-    ).resolved()
-    assert cfg.schedule_T == 999
-    assert cfg.schedule_floor == 0.01
-    assert cfg.lr_shape == "linear"
-
-
 def test_validate_rejects_bad_values():
     for text in (
         "schedule.kind = quadratic\n",
@@ -115,7 +86,7 @@ def test_validate_rejects_bad_values():
         "ptw.mu = 0.001\n",  # the lowest weight sigmoid(-4 / mu) underflows to 0
         "mask.corrupt_split = 0.5,0.1,0.1\n",
         "mask.corrupt_split = 0.9,0.2,-0.1\n",
-        "train.T = 40\nschedule.T = 20\n",
+        "train.T = 0\n",
         "schedule.p = 0.7\n",
         "schedule.kind = cosine\nschedule.floor = 0.5\n",
         "schedule.kind = ascending\n",  # ratio 0 at step 0 at the default floor
@@ -137,6 +108,7 @@ def test_validate_error_names_the_key():
         ("ptw.mu = 0.001\n", "ptw.mu"),
         ("ptw.beta = 1.5\n", "ptw.beta"),
         ("model.heads = 3\n", "model.heads"),  # the hidden size must split evenly
+        ("train.T = 0\n", "train.T"),  # the schedule spans the run, so it needs a step
     ):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             from_text(text).validate()

@@ -23,7 +23,7 @@ from tvmask.model.optim import AdamW, clip_global_norm
 from gradcheck import TINY_CONFIG, grad_check
 
 SMALL = ModelConfig(layers=1, hidden_dim=16, heads=2, ff_dim=32, vocab_size=50,
-                    L_seq=12, tied=True, dtype="float64")
+                    L_seq=12, dtype="float64")
 
 
 def rand_ids(cfg, batch=3, seed=0):
@@ -49,9 +49,9 @@ def test_batch_permutation_permutes_outputs():
 
 def test_zero_head_gives_uniform_and_lnV_loss():
     cfg = ModelConfig(layers=1, hidden_dim=16, heads=2, ff_dim=32, vocab_size=50,
-                      L_seq=12, tied=False, dtype="float64")
+                      L_seq=12, dtype="float64")
     params = init_params(cfg, 0)
-    params["out_w"][:] = 0.0
+    params["tok_emb"][:] = 0.0  # the tied output projection
     params["out_bias"][:] = 0.0
     ids = rand_ids(cfg)
     logits = forward_all(params, cfg, ids)
@@ -138,7 +138,7 @@ def test_clip_global_norm():
 
 def test_tied_head_shares_embedding():
     cfg = ModelConfig(layers=1, hidden_dim=16, heads=2, ff_dim=32, vocab_size=30,
-                      L_seq=8, tied=True, dtype="float64")
+                      L_seq=8, dtype="float64")
     params = init_params(cfg, 0)
     assert "out_w" not in params
     ids = rand_ids(cfg, batch=2, seed=1)
@@ -265,8 +265,7 @@ def ref_forward_backward(params, cfg, ids, pad, mrows, mcols, labels):
     t_pre = h @ params["head_w"] + params["head_b"]
     t_act, t_tanh = ref_gelu(t_pre)
     t_out, head_ln = ref_layernorm(t_act, params["head_ln_g"], params["head_ln_b"])
-    out_w = params["tok_emb"].T if cfg.tied else params["out_w"]
-    logits = t_out @ out_w + params["out_bias"]
+    logits = t_out @ params["tok_emb"].T + params["out_bias"]
     nll = ref_nll(logits, labels)
     dlogits = ref_dloss_dlogits(logits, labels)
 
@@ -274,7 +273,7 @@ def ref_forward_backward(params, cfg, ids, pad, mrows, mcols, labels):
     d_outw = t_out.T @ dlogits
     grads["out_bias"] = dlogits.sum(axis=0)
     d_tact, grads["head_ln_g"], grads["head_ln_b"] = ref_layernorm_backward(
-        dlogits @ out_w.T, params["head_ln_g"], head_ln)
+        dlogits @ params["tok_emb"], params["head_ln_g"], head_ln)
     d_tpre = d_tact * ref_gelu_grad(t_pre, t_tanh)
     grads["head_w"] = h.T @ d_tpre
     grads["head_b"] = d_tpre.sum(axis=0)
@@ -313,10 +312,7 @@ def ref_forward_backward(params, cfg, ids, pad, mrows, mcols, labels):
     grads["pos_emb"][:L] = d_emb.sum(axis=0)
     d_tok = np.zeros_like(params["tok_emb"])
     np.add.at(d_tok, ids, d_emb)
-    if cfg.tied:
-        d_tok += d_outw.T
-    else:
-        grads["out_w"] = d_outw
+    d_tok += d_outw.T
     grads["tok_emb"] = d_tok
     return logits, nll, dlogits, grads
 
@@ -408,13 +404,12 @@ def assert_matches_reference(params, cfg, ids, pad, mrows, mcols, labels):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("tied", [True, False])
 @pytest.mark.parametrize("M", [1, 6])
-def test_forward_backward_match_reference(dtype, tied, M):
+def test_forward_backward_match_reference(dtype, M):
     # at this toy shape per-sequence [L, n] @ w products round differently
     # from one [B * L, n] GEMM, so the comparison also pins the GEMM shapes
     cfg = ModelConfig(layers=2, hidden_dim=16, heads=2, ff_dim=32, vocab_size=40,
-                      L_seq=32, tied=tied, dtype=dtype)
+                      L_seq=32, dtype=dtype)
     params = init_params(cfg, 4)
     rng = np.random.default_rng(M)
     ids = rng.integers(0, cfg.vocab_size, size=(8, cfg.L_seq))
@@ -432,7 +427,7 @@ def test_one_row_fully_masked_others_not_at_all(dtype):
     # every last-layer query comes from row 1: rows 0 and 2 have empty
     # query slices, so their keys, values and inputs get zero gradient
     cfg = ModelConfig(layers=2, hidden_dim=16, heads=2, ff_dim=32, vocab_size=40,
-                      L_seq=12, tied=True, dtype=dtype)
+                      L_seq=12, dtype=dtype)
     params = init_params(cfg, 6)
     rng = np.random.default_rng(6)
     ids = rng.integers(0, cfg.vocab_size, size=(3, cfg.L_seq))

@@ -23,10 +23,6 @@ def formula(kind, p, T, t):
         return (1 - t / T) * 2 * p
     if kind is ScheduleKind.COSINE:
         return (1 + math.cos(math.pi * t / T)) * p + 0.02
-    if kind is ScheduleKind.QUAD_CONCAVE:
-        return 2 * p * (1 - (t / T) ** 2)
-    if kind is ScheduleKind.QUAD_CONVEX:
-        return 2 * p * (1 - t / T) ** 2
     if kind is ScheduleKind.ASCENDING:
         return (t / T) * 2 * p
     if kind is ScheduleKind.ASCEND_THEN_DECAY:
@@ -58,9 +54,6 @@ def test_fixed_is_constant():
 
 def test_other_kind_endpoints():
     p, T = 0.15, 1000
-    qc = ScheduleSpec(ScheduleKind.QUAD_CONCAVE, p=p, T=T)
-    assert ratio_at(qc, 0) == pytest.approx(2 * p, abs=1e-15)
-    assert ratio_at(qc, T) == pytest.approx(0.0, abs=1e-15)
     up = ScheduleSpec(ScheduleKind.ASCENDING, p=p, T=T)
     assert ratio_at(up, 0) == 0.0
     assert ratio_at(up, T) == pytest.approx(2 * p, abs=1e-15)
@@ -87,8 +80,7 @@ def test_symmetry_linear_and_cosine():
         assert abs(ratio_at(cos, t) + ratio_at(cos, T - t) - 0.34) < 1e-12
 
 
-@pytest.mark.parametrize("kind", [ScheduleKind.COSINE, ScheduleKind.LINEAR,
-                                  ScheduleKind.QUAD_CONCAVE, ScheduleKind.QUAD_CONVEX])
+@pytest.mark.parametrize("kind", [ScheduleKind.COSINE, ScheduleKind.LINEAR])
 def test_decay_kinds_non_increasing(kind):
     spec = ScheduleSpec(kind, p=0.25, T=500)
     ratios = [ratio_at(spec, t) for t in range(501)]

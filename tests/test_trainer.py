@@ -65,21 +65,18 @@ def test_lr_shapes_after_warmup():
     assert lr_at(60, base, W, T, ScheduleKind.LINEAR) == pytest.approx(base * 0.5)
     assert lr_at(60, base, W, T, ScheduleKind.COSINE) == pytest.approx(base * 0.5)
     assert lr_at(T, base, W, T, ScheduleKind.LINEAR) == 0.0
-    assert lr_at(60, base, W, T, ScheduleKind.QUAD_CONCAVE) == pytest.approx(base * 0.75)
-    assert lr_at(60, base, W, T, ScheduleKind.QUAD_CONVEX) == pytest.approx(base * 0.25)
     assert lr_at(60, base, W, T, ScheduleKind.ASCENDING) == pytest.approx(base * 0.5)
     assert lr_at(60, base, W, T, ScheduleKind.ASCEND_THEN_DECAY) == pytest.approx(base)
 
 
 # ------------------------------------------------------------ training loop
 
-def test_zero_steps_returns_initial_state(micro_data):
+def test_zero_steps_refused(micro_data):
+    # the masking schedule spans train.T steps, so a run needs at least one
     tokens, pos, special, vocab = micro_data
-    cfg = RunConfig(schedule_T=1, train_T=0, train_batch_size=4, run_seed=1)
-    sink = ListSink()
-    state = train(cfg, micro_cfg(vocab), tokens, pos, special, vocab, sink=sink)
-    assert state.step == 0
-    assert sink.metrics == []
+    cfg = RunConfig(train_T=0, train_batch_size=4, run_seed=1)
+    with pytest.raises(ConfigError, match=r"train\.T"):
+        train(cfg, micro_cfg(vocab), tokens, pos, special, vocab, sink=ListSink())
 
 
 def test_training_is_deterministic(micro_data):
