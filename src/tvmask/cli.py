@@ -27,8 +27,9 @@ from tvmask.corpus.vocab import build_vocab, check_vocab_size
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.rundir import JsonlSink
 from tvmask.schedule import schedule_rows
-from tvmask.trainer import (TrainAbort, check_eval_ratio, checkpoint_path, checkpoint_steps,
-                            eval_mlm, load_checkpoint, load_params, train)
+from tvmask.trainer import (TrainAbort, check_checkpoint_corpus, check_eval_ratio,
+                            checkpoint_path, checkpoint_steps, eval_mlm, load_checkpoint,
+                            load_params, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,8 +94,8 @@ def cmd_train(args) -> int:
         raise ValueError("no output directory (set run.out or pass --out)")
 
     resume_step = rundir.resume_step(cfg, args.resume, args.force)
-    tokens, pos_ids, special, vocab = load_packed(_prepared_dir(cfg.corpus_prepared,
-                                                                "corpus.prepared"))
+    prepared = _prepared_dir(cfg.corpus_prepared, "corpus.prepared")
+    tokens, pos_ids, special, vocab = load_packed(prepared)
     model_cfg = cfg.model_config(vocab.size, tokens.shape[1])
 
     ckpt_dir = rundir.checkpoint_dir(run_dir)
@@ -102,8 +103,8 @@ def cmd_train(args) -> int:
         state = None
         if resume_step is not None:
             state, ckpt_cfg, vocab_hash = load_checkpoint(checkpoint_path(ckpt_dir, resume_step))
-            if vocab_hash != vocab.content_hash():
-                raise ValueError("checkpoint was trained with a different vocabulary")
+            check_checkpoint_corpus(resume_step, ckpt_cfg, vocab_hash, prepared,
+                                    vocab.content_hash(), tokens.shape[1])
             if ckpt_cfg != model_cfg:
                 raise ValueError("checkpoint model config does not match run config")
         sink = JsonlSink(cfg, resume_step)
@@ -161,31 +162,25 @@ def cmd_eval(args) -> int:
     out = args.out or os.path.join(run_dir, rundir.EVAL_REPORT)
     if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ValueError(f"cannot write the report to {out}: not a file in an existing directory")
-    meta, vocab = load_meta(prepared)
-    L_seq = meta["L_seq"]
-    tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout), L_seq, vocab)
-
     ckpt_dir = rundir.checkpoint_dir(run_dir)
     steps = checkpoint_steps(ckpt_dir)
     if args.checkpoint == "latest":
         steps = steps[-1:]
     elif args.checkpoint != "all":
+        if int(args.checkpoint) not in steps:
+            raise ValueError(f"no checkpoint at step {int(args.checkpoint)} in {ckpt_dir}")
         steps = [int(args.checkpoint)]
     if not steps:
         raise ValueError(f"no checkpoints found in {run_dir}")
+    meta, vocab = load_meta(prepared)
+    L_seq = meta["L_seq"]
+    tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout), L_seq, vocab)
 
     report = {"run": os.path.abspath(run_dir), "heldout": os.path.abspath(args.heldout),
               "ratio": args.ratio, "seed": args.seed, "checkpoints": []}
     for step in steps:
-        path = checkpoint_path(ckpt_dir, step)
-        if not os.path.exists(path):
-            raise ValueError(f"checkpoint not found: {path}")
-        params, model_cfg, vocab_hash = load_params(path)
-        if vocab_hash != meta["vocab_hash"]:  # load_meta checked vocab against it
-            raise ValueError(f"checkpoint {step} was trained with a different vocabulary")
-        if model_cfg.L_seq != L_seq:
-            raise ValueError(f"checkpoint {step} was trained at L_seq {model_cfg.L_seq}, "
-                             f"but {prepared} is packed at L_seq {L_seq}")
+        params, model_cfg, vocab_hash = load_params(checkpoint_path(ckpt_dir, step))
+        check_checkpoint_corpus(step, model_cfg, vocab_hash, prepared, meta["vocab_hash"], L_seq)
         result = eval_mlm(params, model_cfg, tokens, pos_ids, special, vocab,
                           ratio=args.ratio, seed=args.seed)
         result["step"] = step

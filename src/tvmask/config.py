@@ -8,8 +8,9 @@ copied into the run directory so any artifact can be regenerated from
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import LOSS_MODES, ModelConfig
@@ -82,8 +83,9 @@ class RunConfig:
                 raise ConfigError(f"{_key(f.name)} must be >= 0, got {value}")
         if self.train_batch_size < 1:
             raise ConfigError("train.batch_size must be >= 1")
-        if not (math.isfinite(self.lr_base) and self.lr_base > 0.0):
-            raise ConfigError(f"lr.base must be finite and > 0, got {self.lr_base}")
+        lr_max = float(np.finfo(np.float32).max)  # the model and AdamW run in float32
+        if not 0.0 < self.lr_base <= lr_max:
+            raise ConfigError(f"lr.base must be in (0, {lr_max:.4g}], got {self.lr_base}")
         _build("model.layers / model.hidden_dim / model.heads / model.ff_dim",
                self.model_config, 1, 1)  # placeholder vocabulary size and L_seq
         spec = _build("schedule.p / train.T / schedule.floor", self.schedule_spec)

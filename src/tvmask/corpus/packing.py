@@ -7,7 +7,7 @@ category id. Output order is deterministic corpus order; shuffling is the
 trainer's job.
 
 This module is the prepared-corpus directory's one writer and reader: the
-vocabulary, stats, the three matrices and meta.json, which marks it whole.
+vocabulary, stats, the two matrices and meta.json, which marks it whole.
 """
 
 from __future__ import annotations
@@ -26,13 +26,19 @@ from tvmask.postags import UPOS_TAGS, X_ID
 MIN_SEQ_LEN = 8
 
 VOCAB, STATS, META = "vocab.txt", "stats.json", "meta.json"
-ARRAYS = ("tokens.npy", "pos_ids.npy", "special.npy")
+ARRAYS = ("tokens.npy", "pos_ids.npy")
 
 
 def check_seq_len(L_seq: int) -> None:
     """Raise ValueError unless L_seq leaves room for [CLS], [SEP] and a body."""
     if L_seq < MIN_SEQ_LEN:
         raise ValueError(f"L_seq must be >= {MIN_SEQ_LEN}, got {L_seq}")
+
+
+def special_positions(tokens: np.ndarray) -> np.ndarray:
+    """True at [CLS], [SEP] and [PAD]; tokenize_word puts no reserved id but [UNK] in a body."""
+    v = Vocabulary
+    return (tokens == v.cls_id) | (tokens == v.sep_id) | (tokens == v.pad_id)
 
 
 def pack_to_arrays(corpus: TaggedCorpus, L_seq: int,
@@ -77,7 +83,7 @@ def pack_to_arrays(corpus: TaggedCorpus, L_seq: int,
     tokens[np.arange(len(body)), body + 1] = vocab.sep_id
     pos_ids = np.full((len(body), L_seq), X_ID, dtype=np.int8)
     pos_ids[in_body] = np.repeat(corpus.categories, word_len)
-    return tokens, pos_ids, ~in_body
+    return tokens, pos_ids, special_positions(tokens)
 
 
 def check_out_dir(out_dir, force: bool) -> None:
@@ -102,7 +108,7 @@ def save_packed(out_dir, tokens: np.ndarray, pos_ids: np.ndarray, special: np.nd
         "n_sentences": n_sentences, "n_sequences": tokens.shape[0],
         "n_subword_tokens": int(counts.sum()),
         "tokens_per_category": {tag: int(n) for tag, n in zip(UPOS_TAGS, counts)}})
-    for name, array in zip(ARRAYS, (tokens, pos_ids, special)):
+    for name, array in zip(ARRAYS, (tokens, pos_ids)):
         np.save(os.path.join(out_dir, name), array)
     _write_json(meta_path, {"L_seq": tokens.shape[1], "vocab_size": vocab.size,
                             "vocab_hash": vocab.content_hash(), "n_sequences": tokens.shape[0],
@@ -132,13 +138,13 @@ def load_meta(prepared_dir) -> tuple[dict, Vocabulary]:
 
 def load_packed(prepared_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray, Vocabulary]:
     """(tokens, pos_ids, special, vocab) of a prepared corpus, read through
-    load_meta. The arrays must have meta.json's shape."""
+    load_meta; special is computed from tokens. The arrays must have meta.json's shape."""
     meta, vocab = load_meta(prepared_dir)
-    tokens, pos_ids, special = (np.load(os.path.join(prepared_dir, name)) for name in ARRAYS)
+    tokens, pos_ids = (np.load(os.path.join(prepared_dir, name)) for name in ARRAYS)
     shape = (meta["n_sequences"], meta["L_seq"])
-    if not tokens.shape == pos_ids.shape == special.shape == shape:
+    if not tokens.shape == pos_ids.shape == shape:
         raise ValueError(f"arrays in {prepared_dir} do not match its meta.json shape {shape}")
-    return tokens, pos_ids, special, vocab
+    return tokens, pos_ids, special_positions(tokens), vocab
 
 
 def _write_json(path, obj) -> None:

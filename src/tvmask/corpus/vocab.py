@@ -73,8 +73,8 @@ def build_vocab(corpus: TaggedCorpus, vocab_size: int) -> Vocabulary:
     given corpus and size.
 
     Pieces are counted once per distinct word, with the word's count from
-    one bincount over the corpus's form ids. Only the longer pieces that
-    fit are ranked: heapq.nsmallest equals a full sort's prefix.
+    one bincount over the corpus's form ids. One key, which never ties,
+    ranks every piece: heapq.nsmallest equals a full sort's prefix.
     """
     check_vocab_size(vocab_size)
     word_freq = np.bincount(corpus.form_ids, minlength=len(corpus.forms)).tolist()
@@ -91,24 +91,11 @@ def build_vocab(corpus: TaggedCorpus, vocab_size: int) -> Vocabulary:
     for reserved in RESERVED_TOKENS:  # a corpus word spelled [PAD] is not the pad token
         piece_freq.pop(reserved, None)
 
-    def by_count(kv):
-        return -kv[1], kv[0]
+    def rank(kv):  # single characters, then single continuations, then the rest
+        piece, count = kv
+        n = len(piece)
+        letter_class = 0 if n == 1 else 1 if n == 3 and piece.startswith(CONTINUATION) else 2
+        return letter_class, -count, piece
 
-    singles_initial = sorted(
-        ((p, c) for p, c in piece_freq.items() if len(p) == 1), key=by_count
-    )
-    singles_cont = sorted(
-        ((p, c) for p, c in piece_freq.items() if p.startswith(CONTINUATION) and len(p) == 3),
-        key=by_count,
-    )
-    room = vocab_size - len(RESERVED_TOKENS) - len(singles_initial) - len(singles_cont)
-    rest = heapq.nsmallest(
-        max(room, 0),
-        ((p, c)
-         for p, c in piece_freq.items()
-         if len(p) > 1 and not (p.startswith(CONTINUATION) and len(p) == 3)),
-        key=by_count,
-    )
-
-    pieces = [piece for piece, _count in singles_initial + singles_cont + rest]
-    return Vocabulary(list(RESERVED_TOKENS) + pieces[: vocab_size - len(RESERVED_TOKENS)])
+    ranked = heapq.nsmallest(vocab_size - len(RESERVED_TOKENS), piece_freq.items(), key=rank)
+    return Vocabulary(list(RESERVED_TOKENS) + [piece for piece, _count in ranked])

@@ -42,10 +42,10 @@ CLIP_NORM = 1.0  # global gradient-norm cap
 
 
 class TrainAbort(RuntimeError):
-    """Loss went non-finite; carries the failing step and last metrics row."""
+    """The loss or the update went non-finite; carries the failing step and last metrics row."""
 
-    def __init__(self, step: int, last_metrics: dict | None):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, what: str, last_metrics: dict | None):
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
         self.last_metrics = last_metrics
 
@@ -149,7 +149,7 @@ def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, voca
         nll, dlogits = softmax_xent(logits, labels)
         loss = float(nll.mean())
         if not math.isfinite(loss):
-            raise TrainAbort(t, last_row)
+            raise TrainAbort(t, "loss", last_row)
         state.tracker.update(per_category_losses(nll, mpos, mode=cfg.ptw_loss_mode))
         grads = backward_masked(state.params, model_cfg, cache, dlogits)
         grad_norm = clip_global_norm(grads, CLIP_NORM)
@@ -157,7 +157,7 @@ def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, voca
         state.opt.step(state.params, grads, lr)
         for p in state.params.values():
             if not np.isfinite(p).all():
-                raise TrainAbort(t, last_row)
+                raise TrainAbort(t, "updated parameters", last_row)
         state.step = t + 1
         state.masked_total += int(labels.shape[0])
         last_row = {"step": t, "loss": loss, "ratio": float(ratio), "lr": float(lr),
@@ -262,6 +262,15 @@ def load_params(path) -> tuple[dict, ModelConfig, str]:
     """
     with _read_checkpoint(path) as (header, model_cfg, _, params, _):
         return params, model_cfg, header["vocab_hash"]
+
+
+def check_checkpoint_corpus(step, ckpt_cfg: ModelConfig, ckpt_hash, prepared, vocab_hash, L_seq):
+    """Raise ValueError unless checkpoint ``step`` matches ``prepared``'s vocabulary and L_seq."""
+    if ckpt_hash != vocab_hash:
+        raise ValueError(f"checkpoint {step} was trained with another vocabulary than {prepared}")
+    if ckpt_cfg.L_seq != L_seq:
+        raise ValueError(f"checkpoint {step} was trained at L_seq {ckpt_cfg.L_seq}, "
+                         f"but {prepared} is packed at L_seq {L_seq}")
 
 
 def check_eval_ratio(ratio: float) -> None:

@@ -16,6 +16,8 @@ import pytest
 import tvmask
 from tvmask import rundir, trainer
 from tvmask.cli import main
+from tvmask.corpus.packing import load_packed, pack_to_arrays
+from tvmask.corpus.reader import load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.vocab import Vocabulary
 from tvmask.postags import UPOS_TAGS
@@ -105,8 +107,7 @@ def test_prepare_rerun_byte_identical(tmp_path):
     for out in (out1, out2):
         assert main(["prepare", "--corpus", str(corpus), "--out", str(out),
                      "--vocab-size", "256", "--L-seq", "16"]) == 0
-    for name in ("vocab.txt", "tokens.npy", "pos_ids.npy", "special.npy", "stats.json",
-                 "meta.json"):
+    for name in ("vocab.txt", "tokens.npy", "pos_ids.npy", "stats.json", "meta.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -127,9 +128,24 @@ def test_prepare_reserved_token_words(tmp_path):
     out = tmp_path / "prep"
     assert main(["prepare", "--corpus", str(corpus), "--out", str(out),
                  "--vocab-size", "48", "--L-seq", "16"]) == 0
-    body = np.load(out / "tokens.npy")[~np.load(out / "special.npy")]
-    v = Vocabulary.load(out / "vocab.txt")
+    tokens, _pos, special, v = load_packed(out)
+    body = tokens[~special]
     assert not np.isin(body, [v.pad_id, v.cls_id, v.sep_id, v.mask_id]).any()
+
+
+def test_special_positions_come_from_tokens(workdir, tmp_path):
+    # prepare stores no special-position file; load_packed derives the mask
+    # from tokens.npy and ignores a stale special.npy, here one that would
+    # let [CLS], [SEP] and [PAD] positions be masked
+    prep = tmp_path / "prep"
+    shutil.copytree(workdir / "prep", prep)
+    assert sorted(os.listdir(prep)) == ["meta.json", "pos_ids.npy", "stats.json", "tokens.npy",
+                                        "vocab.txt"]
+    tokens, _pos, special, vocab = load_packed(prep)
+    np.save(prep / "special.npy", np.zeros_like(special))
+    _, _, want = pack_to_arrays(load_tagged_corpus(workdir / "corpus.txt"), 32, vocab)
+    np.testing.assert_array_equal(load_packed(prep)[2], want)
+    assert want[:, 0].all() and want[tokens == vocab.pad_id].all()
 
 
 def test_prepare_refuses_overwrite(tmp_path):
@@ -156,8 +172,8 @@ def test_prepare_out_naming_a_file_refused_before_reading(tmp_path, capsys):
 def test_prepare_cut_short_leaves_no_prepared_corpus(workdir, tmp_path, capsys):
     prep = tmp_path / "prep"
     shutil.copytree(workdir / "prep", prep)
-    (prep / "special.npy").unlink()
-    (prep / "special.npy").mkdir()  # the forced rewrite below fails at its last array
+    (prep / "pos_ids.npy").unlink()
+    (prep / "pos_ids.npy").mkdir()  # the forced rewrite below fails at its last array
     capsys.readouterr()
     assert main(["prepare", "--corpus", str(workdir / "corpus.txt"), "--out", str(prep),
                  "--vocab-size", "512", "--L-seq", "16", "--force"]) == 2
@@ -189,8 +205,7 @@ def test_damaged_meta_refused(workdir, tmp_path, capsys, damage):
         assert str(meta) in err and "Traceback" not in err, (argv[0], err)
 
 
-@pytest.mark.parametrize("swapped", [("tokens.npy", "pos_ids.npy", "special.npy"),
-                                     ("tokens.npy", "pos_ids.npy")])
+@pytest.mark.parametrize("swapped", [("pos_ids.npy",), ("tokens.npy", "pos_ids.npy")])
 def test_arrays_not_matching_meta_refused(workdir, tmp_path, capsys, swapped):
     # L_seq 16 arrays under the L_seq 32 meta.json: vocab.txt is the same at
     # both lengths, so only the shapes show the mix
@@ -277,6 +292,22 @@ def test_train_refused_resume_keeps_config(workdir, tmp_path, capsys):
     assert main(["train", wider, "--out", str(out), "--resume"]) == 1
     assert "does not match" in capsys.readouterr().err
     assert (out / "config.txt").read_bytes() == saved
+
+
+def test_train_resume_refuses_corpus_of_another_length(workdir, tmp_path, capsys):
+    # the same corpus packed at L_seq 16 has the same vocabulary; the run
+    # config matches, so the message names the lengths and the corpus
+    short = tmp_path / "short"
+    assert main(["prepare", "--corpus", str(workdir / "corpus.txt"), "--out", str(short),
+                 "--vocab-size", "512", "--L-seq", "16"]) == 0
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    out = tmp_path / "run"
+    assert main(["train", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["train", cfg, "--out", str(out), "--resume", "--corpus", str(short)]) == 1
+    err = capsys.readouterr().err
+    assert "L_seq 32" in err and "L_seq 16" in err and str(short) in err, err
+    assert "Traceback" not in err, err
 
 
 def test_train_resume_refuses_changed_config(workdir, tmp_path, capsys):
@@ -501,6 +532,7 @@ def test_train_bad_config_rejected_before_run_dir(workdir, tmp_path, capsys):
                             {"mask.corrupt_split": "0.8,nan,0.1"},
                             {"lr.base": "nan"},
                             {"lr.base": -0.001},
+                            {"lr.base": 1e39, "lr.warmup": 0},
                             {"lr.warmup": -5},
                             {"train.checkpoint_every": -10},
                             {"run.seed": -1},
@@ -866,7 +898,7 @@ def test_eval_moved_corpus_names_the_key(workdir, trained_run, tmp_path, capsys)
 def test_eval_reads_no_training_matrices(workdir, trained_run, tmp_path):
     prep = tmp_path / "prep"
     shutil.copytree(workdir / "prep", prep)
-    for name in ("tokens.npy", "pos_ids.npy", "special.npy"):
+    for name in ("tokens.npy", "pos_ids.npy"):
         (prep / name).unlink()
     run2 = repointed_run(workdir, trained_run, tmp_path, prep)
     outs = [tmp_path / "stripped.json", tmp_path / "whole.json"]
@@ -890,6 +922,15 @@ def test_eval_refuses_checkpoint_of_another_length(workdir, trained_run, tmp_pat
     err = capsys.readouterr().err
     assert "checkpoint 12" in err and "L_seq" in err and "Traceback" not in err, err
     assert not (run2 / "eval_report.json").exists()
+
+
+def test_eval_missing_checkpoint_named_before_heldout_read(trained_run, tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    capsys.readouterr()
+    assert main(["eval", "--run", str(trained_run), "--heldout", str(missing),
+                 "--checkpoint", "7"]) == 1
+    err = capsys.readouterr().err
+    assert "step 7" in err and str(missing) not in err and "Traceback" not in err, err
 
 
 class _MakesDir:

@@ -8,6 +8,7 @@ from tvmask.corpus.packing import pack_to_arrays
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import ModelConfig, backward_masked, forward_masked, softmax_xent
+from tvmask.model.optim import AdamW
 from tvmask.schedule import ScheduleKind, ScheduleSpec
 from tvmask.trainer import (
     ListSink,
@@ -207,6 +208,18 @@ def test_nan_loss_aborts_with_step(micro_data):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainAbort) as info:
         run_micro(micro_data, T=60, lr_base=1e6, lr_warmup=1)
     assert 0 <= info.value.step < 60
+
+
+def test_nonfinite_parameters_abort_names_them(micro_data, monkeypatch):
+    # a finite loss followed by an update that breaks the parameters
+    def poisoned_step(self, params, grads, lr):
+        for p in params.values():
+            p[...] = np.nan
+
+    monkeypatch.setattr(AdamW, "step", poisoned_step)
+    with pytest.raises(TrainAbort, match="non-finite updated parameters at step 0") as info:
+        run_micro(micro_data, T=5)
+    assert info.value.step == 0 and info.value.last_metrics is None
 
 
 def test_ptw_weights_follow_cum_losses(micro_data):
