@@ -56,9 +56,9 @@ def cmd_prepare(args) -> int:
     check_out_dir(args.out, args.force)
     corpus = load_tagged_corpus(args.corpus)
     vocab = build_vocab(corpus, args.vocab_size)
-    tokens, pos_ids, special = pack_to_arrays(corpus, args.L_seq, vocab)
+    tokens, pos_ids, _ = pack_to_arrays(corpus, args.L_seq, vocab)
     try:
-        save_packed(args.out, tokens, pos_ids, special, vocab, corpus.n_sentences, args.corpus)
+        save_packed(args.out, tokens, pos_ids, vocab, corpus.n_sentences, args.corpus)
     except OSError as err:  # a write cut short leaves no prepared corpus behind
         print(f"aborted: {err}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -35,7 +35,6 @@ class RunConfig:
     ptw_loss_mode: str = "per-token-mean"
     ptw_snapshot_every: int = 10
     mask_strategy: str = "random"
-    mask_corrupt_split: tuple = (0.8, 0.1, 0.1)
     model_layers: int = 2
     model_hidden_dim: int = 128
     model_heads: int = 2
@@ -55,10 +54,8 @@ class RunConfig:
                             T=self.train_T, floor=self.schedule_floor)
 
     def mask_policy(self) -> MaskPolicy:
-        """How positions are picked and corrupted."""
-        mask_frac, random_frac, keep_frac = self.mask_corrupt_split
-        return MaskPolicy(strategy=self.mask_strategy, mask_frac=mask_frac,
-                          random_frac=random_frac, keep_frac=keep_frac)
+        """How positions are picked."""
+        return MaskPolicy(strategy=self.mask_strategy)
 
     def model_config(self, vocab_size: int, L_seq: int) -> ModelConfig:
         """The encoder for a prepared corpus with this vocabulary size and L_seq."""
@@ -73,9 +70,7 @@ class RunConfig:
         lr_shape = _build("lr.shape", ScheduleKind, self.lr_shape)
         if self.ptw_loss_mode not in LOSS_MODES:
             raise ConfigError(f"unknown ptw.loss_mode {self.ptw_loss_mode!r}")
-        if len(self.mask_corrupt_split) != 3:
-            raise ConfigError("mask.corrupt_split needs three comma-separated fractions")
-        _build("mask.strategy / mask.corrupt_split", self.mask_policy)
+        _build("mask.strategy", self.mask_policy)
         _build("ptw.beta / ptw.mu", CategoryLossTracker, self.ptw_beta, self.ptw_mu)
         for f in fields(self):
             value = getattr(self, f.name)
@@ -115,34 +110,16 @@ def differing_keys(a: RunConfig, b: RunConfig) -> list[str]:
     return [_key(f.name) for f in fields(a) if getattr(a, f.name) != getattr(b, f.name)]
 
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(repr(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _parse_value(field_type, raw: str):
-    if field_type is int:
-        return int(raw)
-    if field_type is float:
-        return float(raw)
-    if field_type is tuple:
-        return tuple(float(part) for part in raw.split(","))
-    return raw
-
-
 def to_text(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(cfg):
-        lines.append(f"{_key(f.name)} = {_format_value(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
+    """Every key, one per line in field order; a float is written as its repr,
+    so it reads back exactly."""
+    return "".join(f"{_key(f.name)} = {getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
 def from_text(text: str) -> RunConfig:
     cfg = RunConfig()
     names = {_key(f.name): f.name for f in fields(cfg)}
+    set_on = {}  # key -> line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -152,9 +129,12 @@ def from_text(text: str) -> RunConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in names:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         name = names[key]
-        try:
-            setattr(cfg, name, _parse_value(type(getattr(cfg, name)), raw))
+        try:  # a value is an int, a float or a str, parsed by its default's type
+            setattr(cfg, name, type(getattr(cfg, name))(raw))
         except ValueError as err:
             raise ConfigError(f"line {lineno}: {key}: {err}") from None
     return cfg

@@ -94,8 +94,8 @@ def check_out_dir(out_dir, force: bool) -> None:
         raise ValueError(f"{out_dir} already contains a prepared corpus (use --force)")
 
 
-def save_packed(out_dir, tokens: np.ndarray, pos_ids: np.ndarray, special: np.ndarray,
-                vocab: Vocabulary, n_sentences: int, corpus_path) -> None:
+def save_packed(out_dir, tokens: np.ndarray, pos_ids: np.ndarray, vocab: Vocabulary,
+                n_sentences: int, corpus_path) -> None:
     """Write the whole prepared corpus. meta.json is removed first and written
     last, so a rewrite cut short leaves no prepared corpus behind."""
     meta_path = os.path.join(out_dir, META)
@@ -103,7 +103,7 @@ def save_packed(out_dir, tokens: np.ndarray, pos_ids: np.ndarray, special: np.nd
     if os.path.exists(meta_path):
         os.remove(meta_path)
     vocab.save(os.path.join(out_dir, VOCAB))
-    counts = np.bincount(pos_ids[~special], minlength=len(UPOS_TAGS))
+    counts = np.bincount(pos_ids[~special_positions(tokens)], minlength=len(UPOS_TAGS))
     _write_json(os.path.join(out_dir, STATS), {
         "n_sentences": n_sentences, "n_sequences": tokens.shape[0],
         "n_subword_tokens": int(counts.sum()),

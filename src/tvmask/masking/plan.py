@@ -20,30 +20,26 @@ ACTION_RANDOM = 1
 ACTION_KEEP = 2
 ACTION_NAMES = ("mask", "random", "keep")
 
-_SPLIT_TOL = 1e-12
+# BERT's corruption split: a selected position becomes the mask token with
+# probability MASK_FRAC, a random non-reserved token with RANDOM_FRAC, and
+# stays itself otherwise.
+MASK_FRAC = 0.8
+RANDOM_FRAC = 0.1
 
 
 @dataclass(frozen=True)
 class MaskPolicy:
-    """How positions are picked and corrupted.
+    """How positions are picked.
 
     strategy: "random" (uniform over maskable positions) or "ptw"
     (proportional to the per-category weight vector).
     """
 
     strategy: str = "random"
-    mask_frac: float = 0.8
-    random_frac: float = 0.1
-    keep_frac: float = 0.1
 
     def __post_init__(self):
         if self.strategy not in ("random", "ptw"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        fracs = (self.mask_frac, self.random_frac, self.keep_frac)
-        if not all(frac >= 0.0 for frac in fracs):  # NaN fails too
-            raise ValueError(f"corruption fractions must be non-negative, got {fracs}")
-        if not abs(sum(fracs) - 1.0) <= _SPLIT_TOL:
-            raise ValueError(f"corruption fractions must sum to 1, got {sum(fracs)}")
 
 
 @dataclass
@@ -84,7 +80,8 @@ def _position_weights(pos_ids, special, weights_by_category=None) -> np.ndarray:
 
 def build_batch(token_ids, pos_ids, special, ratio: float, policy: MaskPolicy, vocab,
                 rng: np.random.Generator, weights_by_category=None) -> BatchPlan:
-    """Select target_count positions per row by the policy's strategy, then corrupt.
+    """Select target_count positions per row by the policy's strategy, then corrupt
+    them by the MASK_FRAC / RANDOM_FRAC split.
 
     token_ids, pos_ids, special: [B, L]; all rows draw from the one ``rng``.
     """
@@ -94,7 +91,7 @@ def build_batch(token_ids, pos_ids, special, ratio: float, policy: MaskPolicy, v
                                 weights_by_category if policy.strategy == "ptw" else None)
     counts = target_count(ratio, np.count_nonzero(~special, axis=1))
     selected = sample_weighted(weights, counts, rng)
-    return _corrupt(token_ids, special, selected, policy, vocab, rng)
+    return _corrupt(token_ids, selected, vocab, rng)
 
 
 def sample_weighted(weights: np.ndarray, counts: np.ndarray,
@@ -130,17 +127,15 @@ def sample_weighted(weights: np.ndarray, counts: np.ndarray,
     return selected
 
 
-def _corrupt(token_ids, special, selected, policy: MaskPolicy, vocab, rng) -> BatchPlan:
+def _corrupt(token_ids, selected, vocab, rng) -> BatchPlan:
     """Assign a corruption action to each selected position and apply it;
     random replacements draw uniformly from the non-reserved ids."""
-    if np.any(special & selected):
-        raise ValueError("special positions cannot be masked")
     rows, cols = np.nonzero(selected)
     u = rng.random(rows.size)
     random_ids = rng.integers(vocab.n_reserved, vocab.size, size=rows.size, dtype=np.int64)
     actions = np.full(rows.size, ACTION_KEEP, dtype=np.uint8)
-    actions[u < policy.mask_frac + policy.random_frac] = ACTION_RANDOM
-    actions[u < policy.mask_frac] = ACTION_MASK
+    actions[u < MASK_FRAC + RANDOM_FRAC] = ACTION_RANDOM
+    actions[u < MASK_FRAC] = ACTION_MASK
     original = np.asarray(token_ids, dtype=np.int64)
     corrupted = original.copy()
     is_mask, is_random = actions == ACTION_MASK, actions == ACTION_RANDOM

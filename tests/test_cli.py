@@ -521,15 +521,12 @@ def test_train_bad_ptw_values_rejected_before_run_dir(workdir, tmp_path):
 
 def test_train_bad_config_rejected_before_run_dir(workdir, tmp_path, capsys):
     missing = str(tmp_path / "missing")
-    # after the first three, each value would pass a weaker check and then fail
+    # after the first two, each value would pass a weaker check and then fail
     # mid-run, train silently wrong or leave the run unresumable
     for i, kv in enumerate([{"schedule.T": 20, "train.T": 40},
-                            {"mask.corrupt_split": "0.5,0.1,0.1"},
                             {"corpus.prepared": missing},
                             {"ptw.snapshot_every": -3},
                             {"ptw.mu": "nan", "mask.strategy": "ptw"},
-                            {"mask.corrupt_split": "nan,0.1,0.1"},
-                            {"mask.corrupt_split": "0.8,nan,0.1"},
                             {"lr.base": "nan"},
                             {"lr.base": -0.001},
                             {"lr.base": 1e39, "lr.warmup": 0},
@@ -538,7 +535,6 @@ def test_train_bad_config_rejected_before_run_dir(workdir, tmp_path, capsys):
                             {"run.seed": -1},
                             {"model.heads": 3, "corpus.prepared": missing},
                             {"train.T": "1.5"},
-                            {"mask.corrupt_split": "0.8,x,0.1"},
                             {"model.tied": "maybe"}]):
         cfg = write_cfg(tmp_path / f"bad{i}.cfg", micro_config(workdir, **kv))
         out = tmp_path / f"run{i}"
@@ -548,10 +544,14 @@ def test_train_bad_config_rejected_before_run_dir(workdir, tmp_path, capsys):
 
 
 def test_removed_settings_refused(workdir, tmp_path, capsys):
-    # a horizon of its own, an untied head and the quadratic kinds are gone
+    # a horizon of its own, an untied head, the quadratic kinds and a corruption
+    # split other than BERT's fixed 80/10/10 are gone
     for i, kv in enumerate([{"schedule.T": 24}, {"model.tied": "true"},
                             {"schedule.kind": "quad_concave"}, {"schedule.kind": "quad_convex"},
-                            {"lr.shape": "quad_convex"}]):
+                            {"lr.shape": "quad_convex"},
+                            *({"mask.corrupt_split": split} for split in (
+                                "0.8,0.1,0.1", "0.5,0.1,0.1", "0.9,0.1", "0.9,0.2,-0.1",
+                                "nan,0.1,0.1", "0.8,nan,0.1", "0.8,x,0.1"))]):
         cfg = write_cfg(tmp_path / f"old{i}.cfg", micro_config(workdir, **kv))
         out = tmp_path / f"run{i}"
         capsys.readouterr()
@@ -824,9 +824,11 @@ def test_eval_all_checkpoints(workdir, trained_run, tmp_path):
 
 def test_run_config_error_names_the_file(workdir, trained_run, tmp_path, capsys):
     # eval and resume read the run's config.txt, not only the file the user
-    # passed; a run written before schedule.T was removed holds that key
+    # passed; a run written before schedule.T or mask.corrupt_split was removed
+    # holds that key, and an edited one may set a key twice
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
-    for i, line in enumerate(["bogus.key = 1", "schedule.T = 24"]):
+    for i, line in enumerate(["bogus.key = 1", "schedule.T = 24",
+                              "mask.corrupt_split = 0.8,0.1,0.1", "schedule.kind = cosine"]):
         run = tmp_path / f"run{i}"
         shutil.copytree(trained_run, run)
         with open(run / "config.txt", "a", encoding="utf-8") as f:

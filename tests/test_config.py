@@ -7,7 +7,6 @@ def test_roundtrip_lossless():
     cfg = RunConfig(corpus_prepared="/data/prep", schedule_kind="cosine",
                     schedule_p=0.1 + 0.2, schedule_floor=0.02,
                     ptw_beta=0.97, mask_strategy="ptw",
-                    mask_corrupt_split=(0.7, 0.2, 0.1),
                     lr_base=3.3e-4, train_T=777, run_seed=99, run_out="out/run")
     assert from_text(to_text(cfg)) == cfg
     # twice through the mill stays identical
@@ -26,7 +25,6 @@ def test_default_file_text_is_pinned():
         "ptw.loss_mode = per-token-mean\n"
         "ptw.snapshot_every = 10\n"
         "mask.strategy = random\n"
-        "mask.corrupt_split = 0.8,0.1,0.1\n"
         "model.layers = 2\n"
         "model.hidden_dim = 128\n"
         "model.heads = 2\n"
@@ -68,6 +66,17 @@ def test_unknown_key_rejected():
             from_text(line)
 
 
+def test_key_set_twice_rejected():
+    for text, lineno, first in (
+        ("schedule.kind = cosine\nschedule.p = 0.2\nschedule.kind = fixed\n", 3, 1),
+        ("train.T = 5\n# a comment\n\ntrain.T = 5\n", 4, 1),  # even to the same value
+    ):
+        key = text.split(" = ")[0]
+        with pytest.raises(ConfigError,
+                           match=rf"line {lineno}: {key} is already set on line {first}"):
+            from_text(text)
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match="expected"):
         from_text("train.T 5\n")
@@ -78,14 +87,11 @@ def test_validate_rejects_bad_values():
         "schedule.kind = quadratic\n",
         "mask.strategy = everything\n",
         "ptw.loss_mode = per-word\n",
-        "mask.corrupt_split = 0.9,0.1\n",
         "ptw.beta = 1.5\n",
         "ptw.beta = 0\n",
         "ptw.mu = 0\n",
         "ptw.mu = -1\n",
         "ptw.mu = 0.001\n",  # the lowest weight sigmoid(-4 / mu) underflows to 0
-        "mask.corrupt_split = 0.5,0.1,0.1\n",
-        "mask.corrupt_split = 0.9,0.2,-0.1\n",
         "train.T = 0\n",
         "schedule.p = 0.7\n",
         "schedule.kind = cosine\nschedule.floor = 0.5\n",

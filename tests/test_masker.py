@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tvmask.masking import ACTION_KEEP, MaskPolicy, build_batch, target_count
-from tvmask.masking.plan import sample_weighted
+from tvmask.masking.plan import ACTION_MASK, ACTION_RANDOM, sample_weighted
 
 from conftest import make_sequence, plan_one
 
@@ -157,15 +157,56 @@ def test_selection_is_sorted_and_deterministic(letters_vocab):
 
 # ------------------------------------------------------------ corruption
 
+def default_split_plans(vocab, n_plans=20):
+    """Default-split plans of a 6-row batch at ratio 0.5, one per seed, each with
+    the selected-position mask of its batch."""
+    seq = make_sequence(n=40, n_special_tail=3, vocab_size=vocab.size)
+    tokens, pos, special = (np.tile(a, (6, 1)) for a in (seq.token_ids, seq.pos_ids,
+                                                          seq.special_mask))
+    for seed in range(n_plans):
+        plan = build_batch(tokens, pos, special, 0.5, MaskPolicy(), vocab,
+                           np.random.default_rng(seed))
+        selected = np.zeros(tokens.shape, dtype=bool)
+        selected[plan.rows, plan.cols] = True
+        yield tokens, plan, selected
+
+
 def test_corrupt_all_mask_policy(letters_vocab):
-    seq = make_sequence(n=12, n_special_tail=2, vocab_size=letters_vocab.size)
-    policy = MaskPolicy(strategy="random", mask_frac=1.0, random_frac=0.0, keep_frac=0.0)
-    plan = plan_one(seq, 5, letters_vocab, np.random.default_rng(1), policy)
-    indices, corrupted = plan.cols, plan.corrupted_ids[0]
-    assert np.all(corrupted[indices] == letters_vocab.mask_id)
-    untouched = np.setdiff1d(np.arange(12), indices)
-    np.testing.assert_array_equal(corrupted[untouched], seq.token_ids[untouched])
-    np.testing.assert_array_equal(plan.labels, seq.token_ids[indices])
+    # masked positions hold the mask id; unselected positions are untouched and
+    # every selected position is labelled with its original id
+    n_masked = 0
+    for tokens, plan, selected in default_split_plans(letters_vocab):
+        np.testing.assert_array_equal(plan.corrupted_ids[~selected], tokens[~selected])
+        np.testing.assert_array_equal(plan.labels, tokens[plan.rows, plan.cols])
+        got = plan.corrupted_ids[plan.rows, plan.cols][plan.actions == ACTION_MASK]
+        assert np.all(got == letters_vocab.mask_id)
+        n_masked += got.size
+    assert n_masked > 0
+
+
+def test_corrupt_keep_positions_still_in_plan(letters_vocab):
+    # a kept position is selected and labelled like any other, and holds its original
+    n_kept = 0
+    for tokens, plan, selected in default_split_plans(letters_vocab):
+        kept = plan.actions == ACTION_KEEP
+        rows, cols = plan.rows[kept], plan.cols[kept]
+        assert np.all(selected[rows, cols])
+        np.testing.assert_array_equal(plan.corrupted_ids[rows, cols], tokens[rows, cols])
+        np.testing.assert_array_equal(plan.labels[kept], tokens[rows, cols])
+        n_kept += rows.size
+    assert n_kept > 0
+
+
+def test_corrupt_random_draws_nonreserved(letters_vocab):
+    # a randomly replaced position holds a non-reserved id, and no action other
+    # than mask, random and keep occurs
+    n_random = 0
+    for _, plan, _ in default_split_plans(letters_vocab):
+        assert set(np.unique(plan.actions)) <= {ACTION_MASK, ACTION_RANDOM, ACTION_KEEP}
+        got = plan.corrupted_ids[plan.rows, plan.cols][plan.actions == ACTION_RANDOM]
+        assert np.all((got >= letters_vocab.n_reserved) & (got < letters_vocab.size))
+        n_random += got.size
+    assert n_random > 0
 
 
 def test_corrupt_proportions(letters_vocab):
@@ -180,36 +221,9 @@ def test_corrupt_proportions(letters_vocab):
     np.testing.assert_allclose(fracs, [0.8, 0.1, 0.1], atol=0.01)
 
 
-def test_corrupt_keep_positions_still_in_plan(letters_vocab):
-    seq = make_sequence(n=10, n_special_tail=2, vocab_size=letters_vocab.size)
-    policy = MaskPolicy(strategy="random", mask_frac=0.0, random_frac=0.0, keep_frac=1.0)
-    # the selection is drawn before the actions, so the default split selects the same set
-    indices = plan_one(seq, 4, letters_vocab, np.random.default_rng(1)).cols
-    plan = plan_one(seq, 4, letters_vocab, np.random.default_rng(1), policy)
-    np.testing.assert_array_equal(plan.cols, indices)
-    assert np.all(plan.actions == ACTION_KEEP)
-    np.testing.assert_array_equal(plan.corrupted_ids[0], seq.token_ids)  # untouched input
-
-
-def test_corrupt_random_draws_nonreserved(letters_vocab):
-    seq = make_sequence(n=40, n_special_tail=2, vocab_size=letters_vocab.size)
-    policy = MaskPolicy(strategy="random", mask_frac=0.0, random_frac=1.0, keep_frac=0.0)
-    plan = plan_one(seq, 30, letters_vocab, np.random.default_rng(1), policy)
-    assert np.all(plan.corrupted_ids[0, plan.cols] >= letters_vocab.n_reserved)
-    assert np.all(plan.corrupted_ids[0, plan.cols] < letters_vocab.size)
-
-
 def test_policy_validation():
     with pytest.raises(ValueError):
         MaskPolicy(strategy="bogus")
-    with pytest.raises(ValueError):
-        MaskPolicy(mask_frac=0.8, random_frac=0.3, keep_frac=0.1)
-    with pytest.raises(ValueError):
-        MaskPolicy(mask_frac=-0.1, random_frac=1.0, keep_frac=0.1)
-    nan = float("nan")
-    for split in ((nan, 0.1, 0.1), (0.8, nan, 0.1), (0.8, 0.1, nan)):
-        with pytest.raises(ValueError, match="corruption fractions"):
-            MaskPolicy(mask_frac=split[0], random_frac=split[1], keep_frac=split[2])
 
 
 # ------------------------------------------------------------ one-row plans
