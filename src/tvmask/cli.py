@@ -42,6 +42,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: a whole number, in digits alone, of at least ``minimum``."""
+    def parse(text):
+        if not (text.isdecimal() and int(text) >= minimum):
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return parse
+
+
 # ---------------------------------------------------------------- prepare
 
 def cmd_synth(args) -> int:
@@ -78,22 +87,13 @@ def _prepared_dir(prepared, source: str):
 
 def cmd_train(args) -> int:
     cfg = cfgmod.read(args.config)  # a missing file is an OSError naming it
-    # command-line overrides: paths, seed and T only; validated with the file below
-    if args.corpus:
-        cfg.corpus_prepared = args.corpus
-    if args.out:
-        cfg.run_out = args.out
-    if args.seed is not None:
-        cfg.run_seed = args.seed
-    if args.steps is not None:
+    if args.steps is not None:  # the one override, validated with the file below
         cfg.train_T = args.steps
     with cfgmod.naming(args.config):
         cfg.validate()
-    run_dir = cfg.run_out
-    if not run_dir:
-        raise ValueError("no output directory (set run.out or pass --out)")
+    run_dir = args.out
 
-    resume_step = rundir.resume_step(cfg, args.resume, args.force)
+    resume_step = rundir.resume_step(run_dir, cfg, args.resume, args.force)
     prepared = _prepared_dir(cfg.corpus_prepared, "corpus.prepared")
     tokens, pos_ids, special, vocab = load_packed(prepared)
     model_cfg = cfg.model_config(vocab.size, tokens.shape[1])
@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
                                     vocab.content_hash(), tokens.shape[1])
             if ckpt_cfg != model_cfg:
                 raise ValueError("checkpoint model config does not match run config")
-        sink = JsonlSink(cfg, resume_step)
+        sink = JsonlSink(run_dir, cfg, resume_step)
         try:
             try:
                 train(cfg, model_cfg, tokens, pos_ids, special, vocab,
@@ -234,8 +234,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic tagged corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--tokens", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tokens", type=_int_at_least(1), default=1_000_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("prepare", help="build vocabulary and packed sequences")
@@ -248,10 +248,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="run MLM training from a config file")
     p.add_argument("config")
-    p.add_argument("--out", help="run directory (overrides run.out)")
-    p.add_argument("--corpus", help="prepared corpus dir (overrides corpus.prepared)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int, help="total steps T (overrides train.T)")
+    p.add_argument("--out", required=True, help="run directory")
+    p.add_argument("--steps", type=_int_at_least(0), help="total steps T (overrides train.T)")
     start = p.add_mutually_exclusive_group()
     start.add_argument("--resume", action="store_true", help="continue from the last checkpoint")
     start.add_argument("--force", action="store_true", help="overwrite an existing run")
@@ -274,7 +272,7 @@ def build_parser() -> _Parser:
     p.add_argument("--heldout", required=True, help="tagged text file")
     p.add_argument("--checkpoint", default="all", help="step number, 'all' or 'latest'")
     p.add_argument("--ratio", type=float, default=0.15)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", help=f"report path (default <run>/{rundir.EVAL_REPORT})")
     p.set_defaults(func=cmd_eval)
 
@@ -282,7 +280,7 @@ def build_parser() -> _Parser:
     p.add_argument("--prepared", required=True)
     p.add_argument("--rows", default="0")
     p.add_argument("--ratio", type=float, default=0.15)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_mask_debug)
     return parser
 

@@ -46,7 +46,6 @@ class RunConfig:
     train_batch_size: int = 16
     train_checkpoint_every: int = 500
     run_seed: int = 1234
-    run_out: str = ""
 
     def schedule_spec(self) -> ScheduleSpec:
         """The masking-ratio schedule, spanning the run's train.T steps."""

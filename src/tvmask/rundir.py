@@ -36,13 +36,12 @@ def read_config(run_dir) -> cfgmod.RunConfig:
     return cfgmod.load(path)
 
 
-def resume_step(cfg: cfgmod.RunConfig, resume: bool, force: bool) -> int | None:
-    """The checkpoint step a train of cfg in cfg.run_out resumes from, or
-    None for a fresh start. A directory with a config.txt or a checkpoint
-    holds a run, which a fresh start refuses unless forced. A resume must
-    keep the run's config; only the corpus path (the vocabulary hash guards
-    the corpus) and the run directory may move."""
-    run_dir = cfg.run_out
+def resume_step(run_dir, cfg: cfgmod.RunConfig, resume: bool, force: bool) -> int | None:
+    """The checkpoint step a train of cfg in run_dir resumes from, or None
+    for a fresh start. A directory with a config.txt or a checkpoint holds
+    a run, which a fresh start refuses unless forced. A resume must keep
+    the run's config; only the corpus path may move (the vocabulary hash
+    guards the corpus)."""
     has_run = os.path.exists(os.path.join(run_dir, CONFIG))
     steps = checkpoint_steps(checkpoint_dir(run_dir))
     if not resume:
@@ -54,7 +53,7 @@ def resume_step(cfg: cfgmod.RunConfig, resume: bool, force: bool) -> int | None:
     if not steps:
         raise ValueError(f"{run_dir} has no checkpoint to resume from")
     changed = [key for key in cfgmod.differing_keys(read_config(run_dir), cfg)
-               if key not in ("corpus.prepared", "run.out")]
+               if key != "corpus.prepared"]
     if changed:
         raise ValueError(f"config does not match the run's config.txt: {', '.join(changed)} "
                          f"differ (to change them, start a new run)")
@@ -90,7 +89,7 @@ def lock(run_dir):
 
 
 class JsonlSink:
-    """Starts a train of cfg in cfg.run_out, under lock(), then writes its
+    """Starts a train of cfg in run_dir, under lock(), then writes its
     metrics and snapshot rows there as JSONL.
 
     A fresh start (resume_step None) removes the replaced run's checkpoint
@@ -102,8 +101,7 @@ class JsonlSink:
     rows are not exactly those, it refuses and changes no file. Then it
     writes cfg to config.txt."""
 
-    def __init__(self, cfg: cfgmod.RunConfig, resume_step=None):
-        run_dir = cfg.run_out
+    def __init__(self, run_dir, cfg: cfgmod.RunConfig, resume_step=None):
         mode = "w"
         if resume_step is None:  # nothing of a replaced run may survive into this one
             for name in os.listdir(checkpoint_dir(run_dir)):

@@ -37,7 +37,7 @@ _TAG_BATCH = 1
 _TAG_MASK = 2
 _TAG_EVAL = 3
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 CLIP_NORM = 1.0  # global gradient-norm cap
 
 
@@ -56,7 +56,6 @@ class TrainState:
     opt: AdamW
     tracker: CategoryLossTracker
     step: int = 0
-    masked_total: int = 0
 
 
 class ListSink:
@@ -159,7 +158,6 @@ def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, voca
             if not np.isfinite(p).all():
                 raise TrainAbort(t, "updated parameters", last_row)
         state.step = t + 1
-        state.masked_total += int(labels.shape[0])
         last_row = {"step": t, "loss": loss, "ratio": float(ratio), "lr": float(lr),
                     "masked": int(labels.shape[0]), "grad_norm": grad_norm}
         sink.on_metrics(last_row)
@@ -186,12 +184,12 @@ def checkpoint_steps(checkpoint_dir) -> list[int]:
 
 def save_checkpoint(path, state: TrainState, model_cfg: ModelConfig, vocab_hash: str) -> None:
     """Write the state as consecutive .npy records: a JSON header, the tracker's
-    cum_loss, then the params, AdamW m and AdamW v in the header's name order."""
+    cum_loss, then the params, AdamW m and AdamW v in the header's name order.
+    AdamW's step count is not stored: each step makes one update, so it is the step."""
     names = list(state.params)
     header = {"version": CHECKPOINT_VERSION, "model_cfg": model_cfg.__dict__,
-              "vocab_hash": vocab_hash, "step": state.step, "masked_total": state.masked_total,
-              "t": state.opt.t, "beta": state.tracker.beta, "mu": state.tracker.mu,
-              "names": names}
+              "vocab_hash": vocab_hash, "step": state.step,
+              "beta": state.tracker.beta, "mu": state.tracker.mu, "names": names}
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
@@ -248,9 +246,8 @@ def load_checkpoint(path) -> tuple[TrainState, ModelConfig, str]:
         tracker = CategoryLossTracker(beta=header["beta"], mu=header["mu"])
         tracker.cum_loss[:] = cum_loss
         opt = AdamW(params)
-        opt.t, opt.m, opt.v = header["t"], read_moments(), read_moments()
-        state = TrainState(params=params, opt=opt, tracker=tracker, step=header["step"],
-                           masked_total=header["masked_total"])
+        opt.t, opt.m, opt.v = header["step"], read_moments(), read_moments()
+        state = TrainState(params=params, opt=opt, tracker=tracker, step=header["step"])
         return state, model_cfg, header["vocab_hash"]
 
 

@@ -1,5 +1,6 @@
 import errno
 import fcntl
+import io
 import json
 import math
 import os
@@ -301,10 +302,11 @@ def test_train_resume_refuses_corpus_of_another_length(workdir, tmp_path, capsys
     assert main(["prepare", "--corpus", str(workdir / "corpus.txt"), "--out", str(short),
                  "--vocab-size", "512", "--L-seq", "16"]) == 0
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    moved = write_cfg(tmp_path / "b.cfg", micro_config(workdir, **{"corpus.prepared": short}))
     out = tmp_path / "run"
     assert main(["train", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
-    assert main(["train", cfg, "--out", str(out), "--resume", "--corpus", str(short)]) == 1
+    assert main(["train", moved, "--out", str(out), "--resume"]) == 1
     err = capsys.readouterr().err
     assert "L_seq 32" in err and "L_seq 16" in err and str(short) in err, err
     assert "Traceback" not in err, err
@@ -333,8 +335,9 @@ def test_train_resume_refuses_changed_config(workdir, tmp_path, capsys):
         assert all(key in err for key in keys), (i, err)
         assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before, i
         # the run's own config still resumes, from another corpus path to the same corpus
-        assert main(["train", cfg, "--out", str(out), "--resume",
-                     "--corpus", str(workdir / "prep") + os.sep]) == 0, i
+        moved = write_cfg(tmp_path / f"c{i}.cfg", micro_config(
+            workdir, **first, **{"corpus.prepared": str(workdir / "prep") + os.sep}))
+        assert main(["train", moved, "--out", str(out), "--resume"]) == 0, i
 
 
 def _hold_lock(path):
@@ -492,7 +495,8 @@ def test_train_resume_after_kill_is_bit_identical(workdir, tmp_path):
             assert proc.poll() is None and time.monotonic() < deadline, kill_step
             time.sleep(0.001)
         proc.kill()
-        assert proc.wait(timeout=60) == -signal.SIGKILL, kill_step  # killed mid-run
+        proc.communicate(timeout=60)  # reaps the child and closes its stderr pipe
+        assert proc.returncode == -signal.SIGKILL, kill_step  # killed mid-run
         assert (run / "lock").exists()  # left by the killed run; its flock died with it
 
         resumed = _spawn_train(cfg, run, "--resume")
@@ -544,9 +548,9 @@ def test_train_bad_config_rejected_before_run_dir(workdir, tmp_path, capsys):
 
 
 def test_removed_settings_refused(workdir, tmp_path, capsys):
-    # a horizon of its own, an untied head, the quadratic kinds and a corruption
-    # split other than BERT's fixed 80/10/10 are gone
-    for i, kv in enumerate([{"schedule.T": 24}, {"model.tied": "true"},
+    # a horizon of its own, an untied head, the quadratic kinds, a corruption
+    # split other than BERT's fixed 80/10/10 and a run directory of its own are gone
+    for i, kv in enumerate([{"schedule.T": 24}, {"model.tied": "true"}, {"run.out": "runs/x"},
                             {"schedule.kind": "quad_concave"}, {"schedule.kind": "quad_convex"},
                             {"lr.shape": "quad_convex"},
                             *({"mask.corrupt_split": split} for split in (
@@ -607,16 +611,29 @@ def test_train_schedule_masking_nothing_at_step_0_rejected(workdir, tmp_path, ca
 def test_train_cli_overrides(workdir, tmp_path):
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
     out = str(tmp_path / "r")
-    assert main(["train", cfg, "--out", out, "--steps", "10", "--seed", "77"]) == 0
-    saved = (tmp_path / "r" / "config.txt").read_text()
-    assert "train.T = 10" in saved
-    assert "run.seed = 77" in saved
+    assert main(["train", cfg, "--out", out, "--steps", "10"]) == 0
+    assert "train.T = 10" in (tmp_path / "r" / "config.txt").read_text()
     rows = (tmp_path / "r" / "metrics.jsonl").read_text().splitlines()
     assert len(rows) == 10
-    # the file is checked with the overrides applied, so --steps can set a T
+    # the file is checked with the override applied, so --steps can set a T
     # that the file's own train.T would not fit
     cfg = write_cfg(tmp_path / "o.cfg", micro_config(workdir, **{"train.T": 0}))
     assert main(["train", cfg, "--out", str(tmp_path / "o"), "--steps", "12"]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--corpus", "--out"])
+def test_train_takes_only_the_run_directory(workdir, tmp_path, capsys, flag):
+    # the seed and the prepared corpus are config keys alone; --out is required
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    out = tmp_path / "run"
+    extra = {"--seed": ["--out", str(out), "--seed", "3"],
+             "--corpus": ["--out", str(out), "--corpus", str(workdir / "prep")],
+             "--out": []}[flag]
+    capsys.readouterr()
+    assert main(["train", cfg, *extra]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_train_bad_config_exit_code(workdir, tmp_path, capsys):
@@ -634,7 +651,6 @@ def test_library_reads_run_without_cli(workdir, tmp_path):
         "import json, os, sys\n"
         "from tvmask import config, corpus, rundir\n"
         f"cfg = config.read({cfg!r})\n"
-        f"cfg.run_out = {run!r}\n"
         f"assert rundir.read_config({run!r}) == cfg\n"
         f"steps = [row['step'] for row in rundir.read_rows({run!r}, rundir.METRICS)]\n"
         "assert steps == list(range(cfg.train_T)), steps\n"
@@ -824,11 +840,12 @@ def test_eval_all_checkpoints(workdir, trained_run, tmp_path):
 
 def test_run_config_error_names_the_file(workdir, trained_run, tmp_path, capsys):
     # eval and resume read the run's config.txt, not only the file the user
-    # passed; a run written before schedule.T or mask.corrupt_split was removed
-    # holds that key, and an edited one may set a key twice
+    # passed; a run written before schedule.T, mask.corrupt_split or run.out
+    # was removed holds that key, and an edited one may set a key twice
     cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
     for i, line in enumerate(["bogus.key = 1", "schedule.T = 24",
-                              "mask.corrupt_split = 0.8,0.1,0.1", "schedule.kind = cosine"]):
+                              "mask.corrupt_split = 0.8,0.1,0.1", "run.out = runs/old",
+                              "schedule.kind = cosine"]):
         run = tmp_path / f"run{i}"
         shutil.copytree(trained_run, run)
         with open(run / "config.txt", "a", encoding="utf-8") as f:
@@ -945,12 +962,23 @@ class _MakesDir:
         return (os.mkdir, (self.path,))
 
 
+def _as_version_3(data):
+    """A checkpoint's bytes with "version": 3 in its header record."""
+    f = io.BytesIO(data)
+    header = json.loads(np.load(f).item())
+    rest = data[f.tell():]
+    f = io.BytesIO()
+    np.save(f, np.array(json.dumps({**header, "version": 3})))
+    return f.getvalue() + rest
+
+
 def test_damaged_checkpoint_refused(workdir, trained_run, tmp_path, capsys):
     marker = tmp_path / "pickle_ran"
     damage = {
         "truncated": lambda data: data[: len(data) // 2],
         "version-1 pickle": lambda data: pickle.dumps(
             {"version": 1, "params": _MakesDir(str(marker))}),
+        "version-3 header": _as_version_3,
     }
     for i, (kind, damaged) in enumerate(damage.items()):
         run = tmp_path / f"run{i}"
@@ -963,7 +991,8 @@ def test_damaged_checkpoint_refused(workdir, trained_run, tmp_path, capsys):
             capsys.readouterr()
             assert main(argv) == 1, (kind, argv[0])
             err = capsys.readouterr().err
-            assert str(ckpt) in err and "Traceback" not in err, (kind, argv[0], err)
+            assert str(ckpt) in err and "not a version-4 tvmask checkpoint" in err, (kind, err)
+            assert "Traceback" not in err, (kind, argv[0], err)
         assert not (run / "lock").exists(), kind
     assert not marker.exists()  # nothing in the file was unpickled
 
@@ -997,11 +1026,22 @@ def test_eval_ratio_outside_open_unit_interval_rejected(workdir, trained_run, tm
     ("eval", "--ratio", "1.5", "eval ratio must be in (0, 1), got 1.5"),
     ("eval", "--checkpoint", "abc", "--checkpoint must be a step number, 'all' or 'latest'"),
     ("mask-debug", "--rows", "abc", "--rows must be comma-separated sequence numbers"),
+    ("eval", "--seed", "-1", "argument --seed: must be an integer >= 0, got '-1'"),
+    ("mask-debug", "--seed", "-1", "argument --seed: must be an integer >= 0, got '-1'"),
+    ("synth", "--seed", "-1", "argument --seed: must be an integer >= 0, got '-1'"),
+    ("synth", "--tokens", "-5", "argument --tokens: must be an integer >= 1, got '-5'"),
+    ("synth", "--tokens", "0", "argument --tokens: must be an integer >= 1, got '0'"),
+    ("train", "--steps", "-3", "argument --steps: must be an integer >= 0, got '-3'"),
 ])
 def test_bad_argument_rejected_before_any_file_is_read(trained_run, tmp_path, capsys,
                                                        command, flag, value, message):
-    # each input file is broken too: only the argument's own error may be reported
-    if command == "prepare":
+    # each input file is broken too: only the argument's own error may be
+    # reported, and no path is named
+    if command == "synth":
+        argv = ["synth", "--out", str(tmp_path / "corpus.txt")]
+    elif command == "train":
+        argv = ["train", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "run")]
+    elif command == "prepare":
         corpus = tmp_path / "malformed.txt"
         corpus.write_text("the\tDET\nno_tag_here\n", encoding="utf-8")
         argv = ["prepare", "--corpus", str(corpus), "--out", str(tmp_path / "prep")]
@@ -1013,8 +1053,8 @@ def test_bad_argument_rejected_before_any_file_is_read(trained_run, tmp_path, ca
     capsys.readouterr()
     assert main(argv + [flag, value]) == 1
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err, err
-    assert not (tmp_path / "prep").exists() and not (tmp_path / "report.json").exists()
+    assert message in err and str(tmp_path) not in err and "Traceback" not in err, err
+    assert os.listdir(tmp_path) == (["malformed.txt"] if command == "prepare" else [])
 
 
 # ------------------------------------------------------------ misc

@@ -7,14 +7,14 @@ def test_roundtrip_lossless():
     cfg = RunConfig(corpus_prepared="/data/prep", schedule_kind="cosine",
                     schedule_p=0.1 + 0.2, schedule_floor=0.02,
                     ptw_beta=0.97, mask_strategy="ptw",
-                    lr_base=3.3e-4, train_T=777, run_seed=99, run_out="out/run")
+                    lr_base=3.3e-4, train_T=777, run_seed=99)
     assert from_text(to_text(cfg)) == cfg
     # twice through the mill stays identical
     assert to_text(from_text(to_text(cfg))) == to_text(cfg)
 
 
 def test_default_file_text_is_pinned():
-    # the keys and their order in every config.txt written so far
+    # the keys and their order in every config.txt train writes
     assert to_text(RunConfig()) == (
         "corpus.prepared = \n"
         "schedule.kind = fixed\n"
@@ -36,7 +36,6 @@ def test_default_file_text_is_pinned():
         "train.batch_size = 16\n"
         "train.checkpoint_every = 500\n"
         "run.seed = 1234\n"
-        "run.out = \n"
     )
 
 
