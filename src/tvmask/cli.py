@@ -20,7 +20,7 @@ import numpy as np
 from tvmask import config as cfgmod
 from tvmask import rundir
 from tvmask.corpus.packing import (check_out_dir, check_seq_len, load_meta, load_packed,
-                                   pack_to_arrays, save_packed)
+                                   pack_to_arrays, save_packed, special_positions)
 from tvmask.corpus.reader import load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.vocab import build_vocab, check_vocab_size
@@ -65,7 +65,7 @@ def cmd_prepare(args) -> int:
     check_out_dir(args.out, args.force)
     corpus = load_tagged_corpus(args.corpus)
     vocab = build_vocab(corpus, args.vocab_size)
-    tokens, pos_ids, _ = pack_to_arrays(corpus, args.L_seq, vocab)
+    tokens, pos_ids = pack_to_arrays(corpus, args.L_seq, vocab)
     try:
         save_packed(args.out, tokens, pos_ids, vocab, corpus.n_sentences, args.corpus)
     except OSError as err:  # a write cut short leaves no prepared corpus behind
@@ -116,8 +116,6 @@ def cmd_train(args) -> int:
                 sink.close()
         except (TrainAbort, OSError, ValueError) as err:  # training had started
             print(f"aborted: {err}", file=sys.stderr)
-            if isinstance(err, TrainAbort) and err.last_metrics:
-                print(f"last metrics: {json.dumps(err.last_metrics)}", file=sys.stderr)
             return EXIT_RUNTIME
     print(f"run complete: {run_dir} ({cfg.train_T} steps)")
     return EXIT_OK
@@ -158,7 +156,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--checkpoint must be a step number, 'all' or 'latest', "
                        f"got {args.checkpoint!r}")
     run_dir = args.run
-    prepared = _prepared_dir(rundir.read_config(run_dir).corpus_prepared, "corpus.prepared")
+    prepared = _prepared_dir(rundir.read_config(run_dir).corpus_prepared,
+                             f"{os.path.join(run_dir, rundir.CONFIG)}: corpus.prepared")
     out = args.out or os.path.join(run_dir, rundir.EVAL_REPORT)
     if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ValueError(f"cannot write the report to {out}: not a file in an existing directory")
@@ -174,7 +173,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"no checkpoints found in {run_dir}")
     meta, vocab = load_meta(prepared)
     L_seq = meta["L_seq"]
-    tokens, pos_ids, special = pack_to_arrays(load_tagged_corpus(args.heldout), L_seq, vocab)
+    tokens, pos_ids = pack_to_arrays(load_tagged_corpus(args.heldout), L_seq, vocab)
+    special = special_positions(tokens)
 
     report = {"run": os.path.abspath(run_dir), "heldout": os.path.abspath(args.heldout),
               "ratio": args.ratio, "seed": args.seed, "checkpoints": []}

@@ -42,9 +42,9 @@ def special_positions(tokens: np.ndarray) -> np.ndarray:
 
 
 def pack_to_arrays(corpus: TaggedCorpus, L_seq: int,
-                   vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tokenize a tagged corpus and pack it into (tokens, pos_ids, special)
-    matrices of shape [n_sequences, L_seq].
+                   vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Tokenize a tagged corpus and pack it into (tokens, pos_ids) matrices
+    of shape [n_sequences, L_seq]; special_positions(tokens) gives their special mask.
 
     Each distinct form is tokenized once, and every token's piece ids are
     gathered from those. A row takes the words that fit whole; a word
@@ -83,7 +83,7 @@ def pack_to_arrays(corpus: TaggedCorpus, L_seq: int,
     tokens[np.arange(len(body)), body + 1] = vocab.sep_id
     pos_ids = np.full((len(body), L_seq), X_ID, dtype=np.int8)
     pos_ids[in_body] = np.repeat(corpus.categories, word_len)
-    return tokens, pos_ids, special_positions(tokens)
+    return tokens, pos_ids
 
 
 def check_out_dir(out_dir, force: bool) -> None:

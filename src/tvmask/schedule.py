@@ -23,7 +23,6 @@ class ScheduleKind(enum.Enum):
     LINEAR = "linear"
     COSINE = "cosine"
     ASCENDING = "ascending"
-    ASCEND_THEN_DECAY = "ascend_then_decay"
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,6 @@ def shape(kind: ScheduleKind, s: float) -> float:
         return 0.5 * (1.0 + math.cos(math.pi * s))
     if kind is ScheduleKind.ASCENDING:
         return s
-    if kind is ScheduleKind.ASCEND_THEN_DECAY:
-        return 2.0 * s if s <= 0.5 else 2.0 - 2.0 * s
     raise ValueError(f"unhandled schedule kind {kind}")  # pragma: no cover
 
 

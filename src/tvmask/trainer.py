@@ -42,12 +42,11 @@ CLIP_NORM = 1.0  # global gradient-norm cap
 
 
 class TrainAbort(RuntimeError):
-    """The loss or the update went non-finite; carries the failing step and last metrics row."""
+    """The loss or the update went non-finite at ``step``; the sink holds every earlier row."""
 
-    def __init__(self, step: int, what: str, last_metrics: dict | None):
+    def __init__(self, step: int, what: str):
         super().__init__(f"non-finite {what} at step {step}")
         self.step = step
-        self.last_metrics = last_metrics
 
 
 @dataclass
@@ -56,6 +55,9 @@ class TrainState:
     opt: AdamW
     tracker: CategoryLossTracker
     step: int = 0
+    # the last step's gradients, kept until the next step's exist: when a step freed
+    # all its arrays, malloc trimmed the heap and re-faulted it, 15 ms a desk step
+    grads: dict | None = None
 
 
 class ListSink:
@@ -110,6 +112,39 @@ def make_batch(tokens, pos_ids, special, vocab, ratio, policy, weights, seed, st
     return rows, plan.corrupted_ids, plan.rows, plan.cols, plan.labels, mpos
 
 
+def train_step(state: TrainState, cfg: RunConfig, model_cfg: ModelConfig,
+               tokens, pos_ids, special, vocab) -> dict:
+    """Train step state.step, advance the state, and return the step's metrics row.
+
+    Raises TrainAbort if the loss or the updated parameters are non-finite.
+    """
+    t = state.step
+    policy = cfg.mask_policy()
+    ratio = ratio_at(cfg.schedule_spec(), t)
+    weights = state.tracker.weights() if policy.strategy == "ptw" else None
+    rows, corrupted, mrows, mcols, labels, mpos = make_batch(
+        tokens, pos_ids, special, vocab, ratio, policy, weights,
+        cfg.run_seed, t, cfg.train_batch_size,
+    )
+    pad_mask = tokens[rows] == vocab.pad_id
+    logits, cache = forward_masked(state.params, model_cfg, corrupted, pad_mask, mrows, mcols)
+    nll, dlogits = softmax_xent(logits, labels)
+    loss = float(nll.mean())
+    if not math.isfinite(loss):
+        raise TrainAbort(t, "loss")
+    state.tracker.update(per_category_losses(nll, mpos, mode=cfg.ptw_loss_mode))
+    state.grads = grads = backward_masked(state.params, model_cfg, cache, dlogits)
+    grad_norm = clip_global_norm(grads, CLIP_NORM)
+    lr = lr_at(t, cfg.lr_base, cfg.lr_warmup, cfg.train_T, ScheduleKind(cfg.lr_shape))
+    state.opt.step(state.params, grads, lr)
+    for p in state.params.values():
+        if not np.isfinite(p).all():
+            raise TrainAbort(t, "updated parameters")
+    state.step = t + 1
+    return {"step": t, "loss": loss, "ratio": float(ratio), "lr": float(lr),
+            "masked": int(labels.shape[0]), "grad_norm": grad_norm}
+
+
 def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
           sink=None, state: TrainState | None = None, checkpoint_dir=None) -> TrainState:
     """Run (or continue) training to cfg.train_T steps; returns the final state.
@@ -118,55 +153,21 @@ def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, voca
     at any point has the rows of every step its latest checkpoint holds.
     """
     cfg.validate()
-    schedule_spec = cfg.schedule_spec()
-    policy = cfg.mask_policy()
-    lr_shape = ScheduleKind(cfg.lr_shape)
     T = cfg.train_T
+    every = cfg.train_checkpoint_every
     if state is None:
         state = fresh_state(model_cfg, cfg)
     if sink is None:
         sink = ListSink()
-    pad_id = vocab.pad_id
     vocab_hash = vocab.content_hash()
-    last_row: dict | None = None
-
-    for t in range(state.step, T):
-        if checkpoint_dir and cfg.train_checkpoint_every and t % cfg.train_checkpoint_every == 0:
+    for t in range(state.step, T + 1):
+        if checkpoint_dir and (t == T or every and t % every == 0):
             sink.flush()
             save_checkpoint(checkpoint_path(checkpoint_dir, t), state, model_cfg, vocab_hash)
-        if cfg.ptw_snapshot_every and t % cfg.ptw_snapshot_every == 0:
+        if cfg.ptw_snapshot_every and (t == T or t % cfg.ptw_snapshot_every == 0):
             sink.on_snapshots(_snapshot_rows(state.tracker, t))
-
-        ratio = ratio_at(schedule_spec, t)
-        weights = state.tracker.weights() if policy.strategy == "ptw" else None
-        rows, corrupted, mrows, mcols, labels, mpos = make_batch(
-            tokens, pos_ids, special, vocab, ratio, policy, weights,
-            cfg.run_seed, t, cfg.train_batch_size,
-        )
-        pad_mask = tokens[rows] == pad_id
-        logits, cache = forward_masked(state.params, model_cfg, corrupted, pad_mask, mrows, mcols)
-        nll, dlogits = softmax_xent(logits, labels)
-        loss = float(nll.mean())
-        if not math.isfinite(loss):
-            raise TrainAbort(t, "loss", last_row)
-        state.tracker.update(per_category_losses(nll, mpos, mode=cfg.ptw_loss_mode))
-        grads = backward_masked(state.params, model_cfg, cache, dlogits)
-        grad_norm = clip_global_norm(grads, CLIP_NORM)
-        lr = lr_at(t, cfg.lr_base, cfg.lr_warmup, T, lr_shape)
-        state.opt.step(state.params, grads, lr)
-        for p in state.params.values():
-            if not np.isfinite(p).all():
-                raise TrainAbort(t, "updated parameters", last_row)
-        state.step = t + 1
-        last_row = {"step": t, "loss": loss, "ratio": float(ratio), "lr": float(lr),
-                    "masked": int(labels.shape[0]), "grad_norm": grad_norm}
-        sink.on_metrics(last_row)
-
-    if cfg.ptw_snapshot_every:
-        sink.on_snapshots(_snapshot_rows(state.tracker, T))
-    if checkpoint_dir:
-        sink.flush()
-        save_checkpoint(checkpoint_path(checkpoint_dir, T), state, model_cfg, vocab_hash)
+        if t < T:
+            sink.on_metrics(train_step(state, cfg, model_cfg, tokens, pos_ids, special, vocab))
     return state
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tvmask.config import RunConfig
-from tvmask.corpus.packing import pack_to_arrays
+from tvmask.corpus.packing import pack_to_arrays, special_positions
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import ModelConfig
@@ -44,8 +44,8 @@ def build_corpus(n_tokens, seed, vocab_size, L_seq, vocab=None):
     corpus = synth_corpus(n_tokens, seed)
     if vocab is None:
         vocab = build_vocab(corpus, vocab_size)
-    tokens, pos, special = pack_to_arrays(corpus, L_seq, vocab)
-    return tokens, pos, special, vocab, len(corpus.form_ids)
+    tokens, pos = pack_to_arrays(corpus, L_seq, vocab)
+    return tokens, pos, special_positions(tokens), vocab, len(corpus.form_ids)
 
 
 # ---------------------------------------------------------------- fixtures

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import re
 import shutil
 import signal
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 import tvmask
 from tvmask import rundir, trainer
 from tvmask.cli import main
-from tvmask.corpus.packing import load_packed, pack_to_arrays
+from tvmask.corpus.packing import load_packed, pack_to_arrays, special_positions
 from tvmask.corpus.reader import load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.vocab import Vocabulary
@@ -144,7 +145,8 @@ def test_special_positions_come_from_tokens(workdir, tmp_path):
                                         "vocab.txt"]
     tokens, _pos, special, vocab = load_packed(prep)
     np.save(prep / "special.npy", np.zeros_like(special))
-    _, _, want = pack_to_arrays(load_tagged_corpus(workdir / "corpus.txt"), 32, vocab)
+    packed, _ = pack_to_arrays(load_tagged_corpus(workdir / "corpus.txt"), 32, vocab)
+    want = special_positions(packed)
     np.testing.assert_array_equal(load_packed(prep)[2], want)
     assert want[:, 0].all() and want[tokens == vocab.pad_id].all()
 
@@ -597,15 +599,15 @@ def test_train_resume_without_run_errors(workdir, tmp_path, capsys):
 
 
 def test_train_schedule_masking_nothing_at_step_0_rejected(workdir, tmp_path, capsys):
-    for kind in ("ascending", "ascend_then_decay"):
-        cfg = write_cfg(tmp_path / f"{kind}.cfg", micro_config(workdir, **{"schedule.kind": kind}))
-        out = tmp_path / f"run_{kind}"
-        assert main(["train", cfg, "--out", str(out)]) == 1, kind
-        assert "schedule.floor" in capsys.readouterr().err, kind
-        assert not out.exists(), kind
-        floored = write_cfg(tmp_path / f"{kind}_floor.cfg", micro_config(
-            workdir, **{"schedule.kind": kind, "schedule.floor": 0.01, "lr.shape": "linear"}))
-        assert main(["train", floored, "--out", str(out)]) == 0, kind
+    cfg = write_cfg(tmp_path / "ascending.cfg",
+                    micro_config(workdir, **{"schedule.kind": "ascending"}))
+    out = tmp_path / "run_ascending"
+    assert main(["train", cfg, "--out", str(out)]) == 1
+    assert "schedule.floor" in capsys.readouterr().err
+    assert not out.exists()
+    floored = write_cfg(tmp_path / "ascending_floor.cfg", micro_config(
+        workdir, **{"schedule.kind": "ascending", "schedule.floor": 0.01, "lr.shape": "linear"}))
+    assert main(["train", floored, "--out", str(out)]) == 0
 
 
 def test_train_cli_overrides(workdir, tmp_path):
@@ -710,8 +712,7 @@ def test_export_schedule_cosine_below_the_offset(tmp_path):
 def test_export_schedule_refuses_what_train_refuses(tmp_path, capsys):
     # the config file is read by train's rules, so its errors name the key
     for kv, key in (({"schedule.kind": "bogus"}, "schedule.kind"),
-                    ({"schedule.kind": "ascending"}, "schedule.floor"),
-                    ({"schedule.kind": "ascend_then_decay"}, "schedule.floor")):
+                    ({"schedule.kind": "ascending"}, "schedule.floor")):
         cfg = write_cfg(tmp_path / "bad.cfg", "".join(f"{k} = {v}\n" for k, v in kv.items()))
         capsys.readouterr()
         assert main(["export-schedule", cfg]) == 1, kv
@@ -910,7 +911,8 @@ def test_eval_moved_corpus_names_the_key(workdir, trained_run, tmp_path, capsys)
     run2 = repointed_run(workdir, trained_run, tmp_path, moved)
     assert main(["eval", "--run", str(run2), "--heldout", str(workdir / "heldout.txt"),
                  "--checkpoint", "0"]) == 1
-    assert "corpus.prepared" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "corpus.prepared" in err and str(run2 / "config.txt") in err
     assert not (run2 / "eval_report.json").exists()
 
 
@@ -1162,4 +1164,8 @@ def test_runtime_abort_exit_code(workdir, tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["train", cfg, "--out", str(tmp_path / "run")])
     assert code == 2
-    assert "aborted" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    step = int(re.search(r"aborted: non-finite .* at step (\d+)", err).group(1))
+    # the rows of every step before the failing one are on disk
+    rows = rundir.read_rows(tmp_path / "run", rundir.METRICS)
+    assert step > 0 and [row["step"] for row in rows] == list(range(step))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tvmask.corpus import packing, reader
-from tvmask.corpus.packing import pack_to_arrays
+from tvmask.corpus.packing import pack_to_arrays, special_positions
 from tvmask.corpus.reader import CorpusFormatError, TaggedCorpus, load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.tokenizer import tokenize_word
@@ -20,6 +20,12 @@ def write(tmp_path, text, name="corpus.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def pack(corpus, L_seq, vocab):
+    """pack_to_arrays' (tokens, pos_ids), and the special mask of those tokens."""
+    tokens, pos_ids = pack_to_arrays(corpus, L_seq, vocab)
+    return tokens, pos_ids, special_positions(tokens)
 
 
 def records(corpus):
@@ -182,7 +188,7 @@ def test_columnar_pipeline_matches_references(tmp_path, monkeypatch):
             vocab = build_vocab(corpus, vocab_size)
             assert vocab.tokens == want[:vocab_size], (case, vocab_size)
             for L_seq in (8, 11, 32):
-                got = pack_to_arrays(corpus, L_seq, vocab)
+                got = pack(corpus, L_seq, vocab)
                 for name, x, y in zip(("tokens", "pos_ids", "special"), got,
                                       reference_pack(sentences, L_seq, vocab)):
                     assert x.dtype == y.dtype and x.shape == y.shape, (case, name)
@@ -287,7 +293,7 @@ def small_vocab():
 
 def pack_body(sentence, vocab):
     """Piece ids and category ids of one packed sentence, specials dropped."""
-    tokens, pos, special = pack_to_arrays(TaggedCorpus.from_sentences([sentence]), 8, vocab)
+    tokens, pos, special = pack(TaggedCorpus.from_sentences([sentence]), 8, vocab)
     return tokens[~special], pos[~special]
 
 
@@ -323,7 +329,7 @@ def test_tokenize_greedy_longest_match(small_vocab):
 def test_pack_layout_single_sentence():
     sentences = [[(w, 0) for w in ("v", "w", "x", "y", "z")]]
     vocab = build_vocab(TaggedCorpus.from_sentences(sentences), 16)
-    tokens, _pos, special = pack_to_arrays(TaggedCorpus.from_sentences(sentences), 8, vocab)
+    tokens, _pos, special = pack(TaggedCorpus.from_sentences(sentences), 8, vocab)
     assert tokens.shape == (1, 8)
     assert tokens[0, 0] == vocab.cls_id
     assert tokens[0, 6] == vocab.sep_id
@@ -335,7 +341,7 @@ def test_pack_layout_single_sentence():
 def test_pack_round_trip_and_tag_conservation():
     sentences = synth_sentences(3000, 9)
     vocab = build_vocab(TaggedCorpus.from_sentences(sentences), 512)
-    tokens, pos, special = pack_to_arrays(TaggedCorpus.from_sentences(sentences), 32, vocab)
+    tokens, pos, special = pack(TaggedCorpus.from_sentences(sentences), 32, vocab)
     # round-trip: non-special pieces in order reconstruct the tokenized corpus
     flat_tokens = tokens[~special]
     flat_pos = pos[~special]
@@ -361,7 +367,7 @@ def test_pack_words_not_split_unless_oversized():
     sentences = [[("abaabab", 0), ("abaabab", 1)]]  # ab ##a ##a ##b ##a ##b? depends
     wl = [len(tokenize_word(f, vocab)) for f, _ in sentences[0]]
     assert wl[0] == wl[1] >= 2
-    tokens, _pos, special = pack_to_arrays(TaggedCorpus.from_sentences(sentences), 8, vocab)
+    tokens, _pos, special = pack(TaggedCorpus.from_sentences(sentences), 8, vocab)
     # each sequence's non-special span must hold whole words only
     word_of_piece = np.repeat(np.arange(len(wl)), wl)
     offset = 0
@@ -377,7 +383,7 @@ def test_pack_oversized_word_splits():
     vocab = Vocabulary(list(RESERVED_TOKENS) + ["a", "##a"])
     long_word = "a" * 20  # 20 pieces > capacity 6
     corpus = TaggedCorpus.from_sentences([[(long_word, 0)]])
-    tokens, _pos, special = pack_to_arrays(corpus, 8, vocab)
+    tokens, _pos, special = pack(corpus, 8, vocab)
     assert int((~special).sum()) == 20
     assert tokens.shape[0] == 4  # ceil(20 / 6)
 
@@ -389,7 +395,7 @@ def test_pack_min_length():
 
 
 def assert_packs_like_reference(sentences, L_seq, vocab):
-    got = pack_to_arrays(TaggedCorpus.from_sentences(sentences), L_seq, vocab)
+    got = pack(TaggedCorpus.from_sentences(sentences), L_seq, vocab)
     want = reference_pack(sentences, L_seq, vocab)
     for name, x, y in zip(("tokens", "pos_ids", "special"), got, want):
         assert x.dtype == y.dtype and x.shape == y.shape, (name, x.dtype, x.shape, y.dtype, y.shape)

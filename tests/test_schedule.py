@@ -25,8 +25,6 @@ def formula(kind, p, T, t):
         return (1 + math.cos(math.pi * t / T)) * p + 0.02
     if kind is ScheduleKind.ASCENDING:
         return (t / T) * 2 * p
-    if kind is ScheduleKind.ASCEND_THEN_DECAY:
-        return 2 * p * (2 * t / T) if 2 * t <= T else 2 * p * (2 - 2 * t / T)
     raise AssertionError(kind)
 
 
@@ -57,10 +55,6 @@ def test_other_kind_endpoints():
     up = ScheduleSpec(ScheduleKind.ASCENDING, p=p, T=T)
     assert ratio_at(up, 0) == 0.0
     assert ratio_at(up, T) == pytest.approx(2 * p, abs=1e-15)
-    tri = ScheduleSpec(ScheduleKind.ASCEND_THEN_DECAY, p=p, T=T)
-    assert ratio_at(tri, T // 2) == pytest.approx(2 * p, abs=1e-15)
-    assert ratio_at(tri, 0) == 0.0
-    assert ratio_at(tri, T) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

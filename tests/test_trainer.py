@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from tvmask import trainer
 from tvmask.config import ConfigError, RunConfig
-from tvmask.corpus.packing import pack_to_arrays
+from tvmask.corpus.packing import pack_to_arrays, special_positions
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
 from tvmask.model.net import ModelConfig, backward_masked, forward_masked, softmax_xent
 from tvmask.model.optim import AdamW
+from tvmask.postags import UPOS_TAGS
 from tvmask.schedule import ScheduleKind, ScheduleSpec
 from tvmask.trainer import (
     ListSink,
     TrainAbort,
+    checkpoint_steps,
     eval_mlm,
     fresh_state,
     load_checkpoint,
@@ -32,8 +35,8 @@ MICRO_MODEL = dict(layers=1, hidden_dim=16, heads=2, ff_dim=32)
 def micro_data():
     corpus = synth_corpus(12000, 31)
     vocab = build_vocab(corpus, 512)
-    tokens, pos, special = pack_to_arrays(corpus, 32, vocab)
-    return tokens, pos, special, vocab
+    tokens, pos = pack_to_arrays(corpus, 32, vocab)
+    return tokens, pos, special_positions(tokens), vocab
 
 
 def micro_cfg(vocab):
@@ -67,7 +70,6 @@ def test_lr_shapes_after_warmup():
     assert lr_at(60, base, W, T, ScheduleKind.COSINE) == pytest.approx(base * 0.5)
     assert lr_at(T, base, W, T, ScheduleKind.LINEAR) == 0.0
     assert lr_at(60, base, W, T, ScheduleKind.ASCENDING) == pytest.approx(base * 0.5)
-    assert lr_at(60, base, W, T, ScheduleKind.ASCEND_THEN_DECAY) == pytest.approx(base)
 
 
 # ------------------------------------------------------------ training loop
@@ -115,12 +117,25 @@ def test_metrics_record_pre_clip_grad_norm(micro_data):
     assert max(norms) > 1.0  # logged before clipping to CLIP_NORM
 
 
-def test_snapshot_cadence(micro_data):
-    _, sink = run_micro(micro_data, T=25, ptw_snapshot_every=10)
-    steps = sorted({row["step"] for row in sink.snapshots})
-    assert steps == [0, 10, 20, 25]  # every 10 plus the final state
-    step0 = [r for r in sink.snapshots if r["step"] == 0]
-    assert all(r["weight"] == 0.5 and r["cum_loss"] == 0.0 for r in step0)
+def test_snapshot_cadence(micro_data, tmp_path, monkeypatch):
+    # checkpoints and snapshots at every 10 plus the final state, once each
+    saved = []
+
+    def recording_save(path, state, *args):
+        saved.append(state.step)
+        save_checkpoint(path, state, *args)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", recording_save)
+    for T, want in ((25, [0, 10, 20, 25]), (20, [0, 10, 20])):
+        saved.clear()
+        ckpt_dir = tmp_path / f"T{T}"
+        _, sink = run_micro(micro_data, T=T, ptw_snapshot_every=10,
+                            checkpoint_dir=str(ckpt_dir), train_checkpoint_every=10)
+        assert [row["step"] for row in sink.snapshots[::len(UPOS_TAGS)]] == want, T
+        assert len(sink.snapshots) == len(UPOS_TAGS) * len(want), T
+        assert saved == want and checkpoint_steps(ckpt_dir) == want, T
+        step0 = [r for r in sink.snapshots if r["step"] == 0]
+        assert all(r["weight"] == 0.5 and r["cum_loss"] == 0.0 for r in step0)
 
 
 def test_checkpoint_resume_identical(micro_data, tmp_path):
@@ -195,9 +210,8 @@ def test_load_params_reads_the_checkpoint_params(micro_data, tmp_path):
 
 def test_schedule_masking_nothing_at_step_0_rejected(micro_data):
     # the library refuses what the CLI refuses, before any step is taken
-    for kind in (ScheduleKind.ASCENDING, ScheduleKind.ASCEND_THEN_DECAY):
-        with pytest.raises(ConfigError, match=r"schedule\.floor"):
-            run_micro(micro_data, T=10, kind=kind, schedule_floor=0.0)
+    with pytest.raises(ConfigError, match=r"schedule\.floor"):
+        run_micro(micro_data, T=10, kind=ScheduleKind.ASCENDING, schedule_floor=0.0)
     state, _ = run_micro(micro_data, T=3, kind=ScheduleKind.ASCENDING, schedule_floor=0.01,
                          lr_shape="linear")
     assert state.step == 3
@@ -219,7 +233,7 @@ def test_nonfinite_parameters_abort_names_them(micro_data, monkeypatch):
     monkeypatch.setattr(AdamW, "step", poisoned_step)
     with pytest.raises(TrainAbort, match="non-finite updated parameters at step 0") as info:
         run_micro(micro_data, T=5)
-    assert info.value.step == 0 and info.value.last_metrics is None
+    assert info.value.step == 0
 
 
 def test_ptw_weights_follow_cum_losses(micro_data):
@@ -284,7 +298,8 @@ def test_eval_independent_of_chunk_size_at_desk_shape():
     # GEMM, so equal reports need BLAS rows that do not depend on the row count
     corpus = synth_corpus(800, 7)
     vocab = build_vocab(corpus, 1024)
-    tokens, pos, special = pack_to_arrays(corpus, 128, vocab)
+    tokens, pos = pack_to_arrays(corpus, 128, vocab)
+    special = special_positions(tokens)
     assert tokens.shape[0] >= 12
     cfg = ModelConfig(vocab_size=vocab.size, L_seq=128)
     assert (cfg.hidden_dim, cfg.ff_dim) == (128, 512)
