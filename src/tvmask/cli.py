@@ -20,7 +20,7 @@ import numpy as np
 from tvmask import config as cfgmod
 from tvmask import rundir
 from tvmask.corpus.packing import (check_out_dir, check_seq_len, load_meta, load_packed,
-                                   pack_to_arrays, save_packed, special_positions)
+                                   pack_to_arrays, save_packed)
 from tvmask.corpus.reader import load_tagged_corpus
 from tvmask.corpus.synth import write_corpus
 from tvmask.corpus.vocab import build_vocab, check_vocab_size
@@ -95,8 +95,7 @@ def cmd_train(args) -> int:
 
     resume_step = rundir.resume_step(run_dir, cfg, args.resume, args.force)
     prepared = _prepared_dir(cfg.corpus_prepared, "corpus.prepared")
-    tokens, pos_ids, special, vocab = load_packed(prepared)
-    model_cfg = cfg.model_config(vocab.size, tokens.shape[1])
+    tokens, pos_ids, _, vocab = load_packed(prepared)
 
     ckpt_dir = rundir.checkpoint_dir(run_dir)
     with rundir.lock(run_dir):
@@ -105,13 +104,12 @@ def cmd_train(args) -> int:
             state, ckpt_cfg, vocab_hash = load_checkpoint(checkpoint_path(ckpt_dir, resume_step))
             check_checkpoint_corpus(resume_step, ckpt_cfg, vocab_hash, prepared,
                                     vocab.content_hash(), tokens.shape[1])
-            if ckpt_cfg != model_cfg:
+            if ckpt_cfg != cfg.model_config(vocab.size, tokens.shape[1]):
                 raise ValueError("checkpoint model config does not match run config")
         sink = JsonlSink(run_dir, cfg, resume_step)
         try:
             try:
-                train(cfg, model_cfg, tokens, pos_ids, special, vocab,
-                      sink=sink, state=state, checkpoint_dir=ckpt_dir)
+                train(cfg, tokens, pos_ids, vocab, sink=sink, state=state, checkpoint_dir=ckpt_dir)
             finally:
                 sink.close()
         except (TrainAbort, OSError, ValueError) as err:  # training had started
@@ -174,14 +172,13 @@ def cmd_eval(args) -> int:
     meta, vocab = load_meta(prepared)
     L_seq = meta["L_seq"]
     tokens, pos_ids = pack_to_arrays(load_tagged_corpus(args.heldout), L_seq, vocab)
-    special = special_positions(tokens)
 
     report = {"run": os.path.abspath(run_dir), "heldout": os.path.abspath(args.heldout),
               "ratio": args.ratio, "seed": args.seed, "checkpoints": []}
     for step in steps:
         params, model_cfg, vocab_hash = load_params(checkpoint_path(ckpt_dir, step))
         check_checkpoint_corpus(step, model_cfg, vocab_hash, prepared, meta["vocab_hash"], L_seq)
-        result = eval_mlm(params, model_cfg, tokens, pos_ids, special, vocab,
+        result = eval_mlm(params, model_cfg, tokens, pos_ids, vocab,
                           ratio=args.ratio, seed=args.seed)
         result["step"] = step
         report["checkpoints"].append(result)

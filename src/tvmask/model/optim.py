@@ -30,15 +30,14 @@ BLOCK = 1 << 15
 class AdamW:
     """Weight decay applies only to matrices; vectors (biases, norm gains) are exempt.
 
-    step() updates the moments and parameters in place, about BLOCK
-    elements at a time along each tensor's first axis, through two scratch
-    buffers made here, so a step allocates nothing parameter-sized. Every element is
-    rounded as in the textbook expression
+    step() makes update number t (the first is 1) to the moments and parameters
+    in place, about BLOCK elements at a time along each tensor's first axis,
+    through two scratch buffers made here, so a step allocates nothing
+    parameter-sized. Every element is rounded as in the textbook expression
     ``p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)``.
     """
 
     def __init__(self, params: dict):
-        self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         # a block is whole first-axis slices: at least one, however wide
@@ -46,10 +45,9 @@ class AdamW:
         dtypes = {p.dtype for p in params.values()}
         self._scratch = {dt: (np.empty(size, dt), np.empty(size, dt)) for dt in dtypes}
 
-    def step(self, params: dict, grads: dict, lr: float) -> None:
-        self.t += 1
-        bc1 = 1.0 - BETA1**self.t
-        bc2 = 1.0 - BETA2**self.t
+    def step(self, params: dict, grads: dict, lr: float, t: int) -> None:
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for name in sorted(params):
             p = params[name]
             s1, s2 = self._scratch[p.dtype]

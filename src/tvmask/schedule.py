@@ -15,7 +15,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-_ONE_EXCLUSIVE = math.nextafter(1.0, 0.0)  # ratio 1.0 would leave no context
+_ONE_EXCLUSIVE = math.nextafter(1.0, 0.0)  # target_count needs ratio < 1; still masks every piece
 
 
 class ScheduleKind(enum.Enum):

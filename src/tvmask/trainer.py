@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tvmask.config import RunConfig
+from tvmask.corpus.packing import special_positions
 from tvmask.masking import MaskPolicy, build_batch
 from tvmask.model.net import (
     ModelConfig,
@@ -116,7 +117,8 @@ def train_step(state: TrainState, cfg: RunConfig, model_cfg: ModelConfig,
                tokens, pos_ids, special, vocab) -> dict:
     """Train step state.step, advance the state, and return the step's metrics row.
 
-    Raises TrainAbort if the loss or the updated parameters are non-finite.
+    train's per-step worker, given the model config and special mask train derives
+    once. Raises TrainAbort if the loss or the updated parameters are non-finite.
     """
     t = state.step
     policy = cfg.mask_policy()
@@ -136,7 +138,7 @@ def train_step(state: TrainState, cfg: RunConfig, model_cfg: ModelConfig,
     state.grads = grads = backward_masked(state.params, model_cfg, cache, dlogits)
     grad_norm = clip_global_norm(grads, CLIP_NORM)
     lr = lr_at(t, cfg.lr_base, cfg.lr_warmup, cfg.train_T, ScheduleKind(cfg.lr_shape))
-    state.opt.step(state.params, grads, lr)
+    state.opt.step(state.params, grads, lr, t + 1)
     for p in state.params.values():
         if not np.isfinite(p).all():
             raise TrainAbort(t, "updated parameters")
@@ -145,16 +147,19 @@ def train_step(state: TrainState, cfg: RunConfig, model_cfg: ModelConfig,
             "masked": int(labels.shape[0]), "grad_norm": grad_norm}
 
 
-def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
+def train(cfg: RunConfig, tokens, pos_ids, vocab,
           sink=None, state: TrainState | None = None, checkpoint_dir=None) -> TrainState:
     """Run (or continue) training to cfg.train_T steps; returns the final state.
 
-    The sink is flushed before each checkpoint is written, so a run killed
-    at any point has the rows of every step its latest checkpoint holds.
+    The model is cfg's, sized to vocab and to the rows of tokens. The sink
+    is flushed before each checkpoint is written, so a run killed at any
+    point has the rows of every step its latest checkpoint holds.
     """
     cfg.validate()
     T = cfg.train_T
     every = cfg.train_checkpoint_every
+    model_cfg = cfg.model_config(vocab.size, tokens.shape[1])
+    special = special_positions(tokens)
     if state is None:
         state = fresh_state(model_cfg, cfg)
     if sink is None:
@@ -164,7 +169,7 @@ def train(cfg: RunConfig, model_cfg: ModelConfig, tokens, pos_ids, special, voca
         if checkpoint_dir and (t == T or every and t % every == 0):
             sink.flush()
             save_checkpoint(checkpoint_path(checkpoint_dir, t), state, model_cfg, vocab_hash)
-        if cfg.ptw_snapshot_every and (t == T or t % cfg.ptw_snapshot_every == 0):
+        if t == T or cfg.ptw_snapshot_every and t % cfg.ptw_snapshot_every == 0:
             sink.on_snapshots(_snapshot_rows(state.tracker, t))
         if t < T:
             sink.on_metrics(train_step(state, cfg, model_cfg, tokens, pos_ids, special, vocab))
@@ -186,7 +191,7 @@ def checkpoint_steps(checkpoint_dir) -> list[int]:
 def save_checkpoint(path, state: TrainState, model_cfg: ModelConfig, vocab_hash: str) -> None:
     """Write the state as consecutive .npy records: a JSON header, the tracker's
     cum_loss, then the params, AdamW m and AdamW v in the header's name order.
-    AdamW's step count is not stored: each step makes one update, so it is the step."""
+    AdamW keeps no update count: train_step numbers step t's update t + 1."""
     names = list(state.params)
     header = {"version": CHECKPOINT_VERSION, "model_cfg": model_cfg.__dict__,
               "vocab_hash": vocab_hash, "step": state.step,
@@ -247,7 +252,7 @@ def load_checkpoint(path) -> tuple[TrainState, ModelConfig, str]:
         tracker = CategoryLossTracker(beta=header["beta"], mu=header["mu"])
         tracker.cum_loss[:] = cum_loss
         opt = AdamW(params)
-        opt.t, opt.m, opt.v = header["step"], read_moments(), read_moments()
+        opt.m, opt.v = read_moments(), read_moments()
         state = TrainState(params=params, opt=opt, tracker=tracker, step=header["step"])
         return state, model_cfg, header["vocab_hash"]
 
@@ -277,7 +282,7 @@ def check_eval_ratio(ratio: float) -> None:
         raise ValueError(f"eval ratio must be in (0, 1), got {ratio}")
 
 
-def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
+def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, vocab,
              ratio: float = 0.15, seed: int = 0, batch_size: int = 8) -> dict:
     """Deterministic masked evaluation on a held-out packed corpus.
 
@@ -294,7 +299,7 @@ def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, special, vocab,
     """
     check_eval_ratio(ratio)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_EVAL]))
-    plan = build_batch(tokens, pos_ids, special, ratio, MaskPolicy(), vocab, rng)
+    plan = build_batch(tokens, pos_ids, special_positions(tokens), ratio, MaskPolicy(), vocab, rng)
     pad_mask = tokens == vocab.pad_id
     nll = []
     for start in range(0, tokens.shape[0], batch_size):

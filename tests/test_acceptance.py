@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from tvmask.config import RunConfig
-from tvmask.corpus.packing import pack_to_arrays, special_positions
+from tvmask.corpus.packing import pack_to_arrays
 from tvmask.corpus.vocab import build_vocab
 from tvmask.masking import MaskPolicy
-from tvmask.model.net import ModelConfig
 from tvmask.postags import FUNCTION_IDS, NON_FUNCTION_IDS, UPOS_TAGS
 from tvmask.schedule import ScheduleKind, ScheduleSpec, expected_mass, ratio_at
 from tvmask.tracker import CategoryLossTracker, weights_from_losses
@@ -45,7 +44,7 @@ def build_corpus(n_tokens, seed, vocab_size, L_seq, vocab=None):
     if vocab is None:
         vocab = build_vocab(corpus, vocab_size)
     tokens, pos = pack_to_arrays(corpus, L_seq, vocab)
-    return tokens, pos, special_positions(tokens), vocab, len(corpus.form_ids)
+    return tokens, pos, vocab, len(corpus.form_ids)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -58,27 +57,27 @@ def micro_corpus():
 @pytest.fixture(scope="module")
 def desk_corpus():
     data = build_corpus(1_050_000, 104729, vocab_size=8192, L_seq=128)
-    assert data[4] >= 1_000_000  # the >= 1M token requirement
+    assert data[3] >= 1_000_000  # the >= 1M token requirement
     return data
 
 
-DESK_MODEL = dict(layers=2, hidden_dim=128, heads=2, ff_dim=512, L_seq=128)
-MICRO_MODEL = dict(layers=1, hidden_dim=16, heads=2, ff_dim=32, L_seq=64)
+DESK_MODEL = dict(model_layers=2, model_hidden_dim=128, model_heads=2, model_ff_dim=512)
+MICRO_MODEL = dict(model_layers=1, model_hidden_dim=16, model_heads=2, model_ff_dim=32)
 
 
 def run_training(corpus, model_kw, kind, strategy, T, seed, batch_size=8, state=None,
                  checkpoint_dir=None, **run_kw):
-    tokens, pos, special, vocab, _ = corpus
-    cfg = ModelConfig(vocab_size=vocab.size, **model_kw)
+    tokens, pos, vocab, _ = corpus
     run_kw.setdefault("lr_base", 1e-3)
     run_kw.setdefault("lr_warmup", 100)
     run_kw.setdefault("train_checkpoint_every", 0)
     run_cfg = RunConfig(schedule_kind=kind.value, schedule_p=0.15, mask_strategy=strategy,
-                        train_T=T, train_batch_size=batch_size, run_seed=seed, **run_kw)
+                        train_T=T, train_batch_size=batch_size, run_seed=seed,
+                        **model_kw, **run_kw)
     sink = ListSink()
-    state = train(run_cfg, cfg, tokens, pos, special, vocab, sink=sink, state=state,
+    state = train(run_cfg, tokens, pos, vocab, sink=sink, state=state,
                   checkpoint_dir=checkpoint_dir)
-    return state, sink, cfg
+    return state, sink, run_cfg.model_config(vocab.size, tokens.shape[1])
 
 
 @pytest.fixture(scope="module")
@@ -258,9 +257,9 @@ def test_criterion_08_function_words_converge_faster(desk_corpus, desk_run_rando
         losses = [r["loss"] for r in sink.metrics]
         assert np.mean(losses[1900:2000]) < np.mean(losses[0:100])
         # held-out check mirrors the same direction
-        tokens, pos, special, vocab, _ = desk_corpus
+        vocab = desk_corpus[2]
         heldout = build_corpus(40_000, 424243, vocab_size=8192, L_seq=128, vocab=vocab)
-        report = eval_mlm(state.params, cfg, heldout[0], heldout[1], heldout[2], vocab,
+        report = eval_mlm(state.params, cfg, heldout[0], heldout[1], vocab,
                           ratio=0.15, seed=5)
         assert report["groups"]["function"] < report["groups"]["non_function"]
 

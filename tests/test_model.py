@@ -120,7 +120,7 @@ def test_noop_step_with_zero_lr():
     logits, cache = forward_masked(params, SMALL, ids, pad, mrows, mcols)
     loss_before = float(nll_from_logits(logits, labels).mean())
     grads = backward_masked(params, SMALL, cache, softmax_xent(logits, labels)[1])
-    opt.step(params, grads, lr=0.0)
+    opt.step(params, grads, lr=0.0, t=1)
     logits2, _ = forward_masked(params, SMALL, ids, pad, mrows, mcols)
     assert float(nll_from_logits(logits2, labels).mean()) == loss_before
 
@@ -370,7 +370,7 @@ def test_adamw_step_matches_reference(dtype):
     opt = AdamW(params)
     for t, lr in ((1, 1e-3), (2, 3e-2), (3, 0.5)):
         grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
-        opt.step(params, grads, lr)
+        opt.step(params, grads, lr, t)
         ref_adamw_step(ref, grads, m_ref, v_ref, t, lr)
         for k in params:
             assert np.array_equal(params[k], ref[k]), (k, t)

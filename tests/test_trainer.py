@@ -28,7 +28,7 @@ from tvmask.trainer import (
 
 from conftest import synth_corpus
 
-MICRO_MODEL = dict(layers=1, hidden_dim=16, heads=2, ff_dim=32)
+MICRO_MODEL = dict(model_layers=1, model_hidden_dim=16, model_heads=2, model_ff_dim=32)
 
 
 @pytest.fixture(scope="module")
@@ -40,19 +40,19 @@ def micro_data():
 
 
 def micro_cfg(vocab):
-    return ModelConfig(vocab_size=vocab.size, L_seq=32, **MICRO_MODEL)
+    return RunConfig(**MICRO_MODEL).model_config(vocab.size, 32)
 
 
 def run_micro(micro_data, T=40, strategy="random", kind=ScheduleKind.FIXED, seed=5,
               state=None, checkpoint_dir=None, **overrides):
-    tokens, pos, special, vocab = micro_data
+    tokens, pos, _, vocab = micro_data
     overrides.setdefault("lr_warmup", 10)
     overrides.setdefault("train_checkpoint_every", 0)
     cfg = RunConfig(schedule_kind=kind.value, schedule_p=0.15, mask_strategy=strategy,
-                    train_T=T, train_batch_size=4, run_seed=seed, **overrides)
+                    train_T=T, train_batch_size=4, run_seed=seed, **MICRO_MODEL, **overrides)
     sink = ListSink()
-    final = train(cfg, micro_cfg(vocab), tokens, pos, special, vocab, sink=sink,
-                  state=state, checkpoint_dir=checkpoint_dir)
+    final = train(cfg, tokens, pos, vocab, sink=sink, state=state,
+                  checkpoint_dir=checkpoint_dir)
     return final, sink
 
 
@@ -76,10 +76,10 @@ def test_lr_shapes_after_warmup():
 
 def test_zero_steps_refused(micro_data):
     # the masking schedule spans train.T steps, so a run needs at least one
-    tokens, pos, special, vocab = micro_data
+    tokens, pos, _, vocab = micro_data
     cfg = RunConfig(train_T=0, train_batch_size=4, run_seed=1)
     with pytest.raises(ConfigError, match=r"train\.T"):
-        train(cfg, micro_cfg(vocab), tokens, pos, special, vocab, sink=ListSink())
+        train(cfg, tokens, pos, vocab, sink=ListSink())
 
 
 def test_training_is_deterministic(micro_data):
@@ -118,7 +118,8 @@ def test_metrics_record_pre_clip_grad_norm(micro_data):
 
 
 def test_snapshot_cadence(micro_data, tmp_path, monkeypatch):
-    # checkpoints and snapshots at every 10 plus the final state, once each
+    # checkpoints and snapshots at every multiple of `every` plus the final
+    # state, once each; every 0 gives the final state alone
     saved = []
 
     def recording_save(path, state, *args):
@@ -126,14 +127,14 @@ def test_snapshot_cadence(micro_data, tmp_path, monkeypatch):
         save_checkpoint(path, state, *args)
 
     monkeypatch.setattr(trainer, "save_checkpoint", recording_save)
-    for T, want in ((25, [0, 10, 20, 25]), (20, [0, 10, 20])):
+    for T, every, want in ((25, 10, [0, 10, 20, 25]), (20, 10, [0, 10, 20]), (25, 0, [25])):
         saved.clear()
-        ckpt_dir = tmp_path / f"T{T}"
-        _, sink = run_micro(micro_data, T=T, ptw_snapshot_every=10,
-                            checkpoint_dir=str(ckpt_dir), train_checkpoint_every=10)
-        assert [row["step"] for row in sink.snapshots[::len(UPOS_TAGS)]] == want, T
-        assert len(sink.snapshots) == len(UPOS_TAGS) * len(want), T
-        assert saved == want and checkpoint_steps(ckpt_dir) == want, T
+        ckpt_dir = tmp_path / f"T{T}_every{every}"
+        _, sink = run_micro(micro_data, T=T, ptw_snapshot_every=every,
+                            checkpoint_dir=str(ckpt_dir), train_checkpoint_every=every)
+        assert [row["step"] for row in sink.snapshots[::len(UPOS_TAGS)]] == want, (T, every)
+        assert len(sink.snapshots) == len(UPOS_TAGS) * len(want), (T, every)
+        assert saved == want and checkpoint_steps(ckpt_dir) == want, (T, every)
         step0 = [r for r in sink.snapshots if r["step"] == 0]
         assert all(r["weight"] == 0.5 and r["cum_loss"] == 0.0 for r in step0)
 
@@ -155,19 +156,20 @@ def test_checkpoint_resume_identical(micro_data, tmp_path):
     for name in full_state.params:
         np.testing.assert_array_equal(full_state.params[name], resumed_state.params[name])
     np.testing.assert_array_equal(full_state.tracker.cum_loss, resumed_state.tracker.cum_loss)
-    assert (resumed_state.step, resumed_state.opt.t) == (full_state.step, full_state.opt.t)
+    assert resumed_state.step == full_state.step
 
 
 def test_checkpoint_roundtrip(micro_data, tmp_path):
-    # a ptw run with non-default beta and mu, so every array and scalar is non-trivial
+    # a ptw run with non-default beta and mu, so every array and scalar is
+    # non-trivial; train writes the final checkpoint with the model config it
+    # derived from the run config's model keys and the corpus's L_seq
     vocab = micro_data[3]
-    state, _ = run_micro(micro_data, T=12, strategy="ptw", ptw_beta=0.95, ptw_mu=2.0)
-    path = str(tmp_path / "step_00000012.ckpt")
-    save_checkpoint(path, state, micro_cfg(vocab), vocab.content_hash())
-    loaded, cfg_loaded, vocab_hash = load_checkpoint(path)
+    state, _ = run_micro(micro_data, T=12, strategy="ptw", ptw_beta=0.95, ptw_mu=2.0,
+                         checkpoint_dir=str(tmp_path))
+    loaded, cfg_loaded, vocab_hash = load_checkpoint(str(tmp_path / "step_00000012.ckpt"))
     assert cfg_loaded == micro_cfg(vocab)
     assert vocab_hash == vocab.content_hash()
-    assert (loaded.step, loaded.opt.t) == (12, 12)
+    assert loaded.step == 12
     assert loaded.tracker.beta == 0.95 and loaded.tracker.mu == 2.0
     np.testing.assert_array_equal(loaded.tracker.cum_loss, state.tracker.cum_loss)
     np.testing.assert_array_equal(loaded.tracker.weights(), state.tracker.weights())
@@ -226,7 +228,7 @@ def test_nan_loss_aborts_with_step(micro_data):
 
 def test_nonfinite_parameters_abort_names_them(micro_data, monkeypatch):
     # a finite loss followed by an update that breaks the parameters
-    def poisoned_step(self, params, grads, lr):
+    def poisoned_step(self, params, grads, lr, t):
         for p in params.values():
             p[...] = np.nan
 
@@ -261,11 +263,11 @@ def test_loss_decreases_on_micro_run(micro_data):
 # ------------------------------------------------------------ evaluation
 
 def test_eval_deterministic_and_untrained_near_lnV(micro_data):
-    tokens, pos, special, vocab = micro_data
+    tokens, pos, _, vocab = micro_data
     cfg = micro_cfg(vocab)
     state = fresh_state(cfg, RunConfig(run_seed=3))
-    r1 = eval_mlm(state.params, cfg, tokens[:40], pos[:40], special[:40], vocab, seed=7)
-    r2 = eval_mlm(state.params, cfg, tokens[:40], pos[:40], special[:40], vocab, seed=7)
+    r1 = eval_mlm(state.params, cfg, tokens[:40], pos[:40], vocab, seed=7)
+    r2 = eval_mlm(state.params, cfg, tokens[:40], pos[:40], vocab, seed=7)
     assert r1 == r2
     lnV = math.log(vocab.size)
     assert r1["overall"] == pytest.approx(lnV, rel=0.03)
@@ -275,20 +277,20 @@ def test_eval_deterministic_and_untrained_near_lnV(micro_data):
 
 
 def test_eval_respects_ratio_and_seed(micro_data):
-    tokens, pos, special, vocab = micro_data
+    tokens, pos, _, vocab = micro_data
     cfg = micro_cfg(vocab)
     state = fresh_state(cfg, RunConfig(run_seed=3))
-    a = eval_mlm(state.params, cfg, tokens[:20], pos[:20], special[:20], vocab, seed=1)
-    b = eval_mlm(state.params, cfg, tokens[:20], pos[:20], special[:20], vocab, seed=2)
+    a = eval_mlm(state.params, cfg, tokens[:20], pos[:20], vocab, seed=1)
+    b = eval_mlm(state.params, cfg, tokens[:20], pos[:20], vocab, seed=2)
     assert a["n_masked"] == b["n_masked"]  # same ratio, same sequences
     assert a != b  # different masks
 
 
 def test_eval_independent_of_batch_size(micro_data):
-    tokens, pos, special, vocab = micro_data
+    tokens, pos, _, vocab = micro_data
     cfg = micro_cfg(vocab)
     state = fresh_state(cfg, RunConfig(run_seed=3))
-    reports = [eval_mlm(state.params, cfg, tokens[:40], pos[:40], special[:40], vocab,
+    reports = [eval_mlm(state.params, cfg, tokens[:40], pos[:40], vocab,
                         seed=4, batch_size=bs) for bs in (1, 7, 32)]
     assert reports[0] == reports[1] == reports[2]
 
@@ -299,20 +301,19 @@ def test_eval_independent_of_chunk_size_at_desk_shape():
     corpus = synth_corpus(800, 7)
     vocab = build_vocab(corpus, 1024)
     tokens, pos = pack_to_arrays(corpus, 128, vocab)
-    special = special_positions(tokens)
     assert tokens.shape[0] >= 12
     cfg = ModelConfig(vocab_size=vocab.size, L_seq=128)
     assert (cfg.hidden_dim, cfg.ff_dim) == (128, 512)
     state = fresh_state(cfg, RunConfig(run_seed=2))
-    reports = [eval_mlm(state.params, cfg, tokens[:12], pos[:12], special[:12], vocab,
+    reports = [eval_mlm(state.params, cfg, tokens[:12], pos[:12], vocab,
                         seed=1, batch_size=bs) for bs in (1, 8, 32)]
     assert reports[0] == reports[1] == reports[2]
 
 
 def test_eval_rejects_ratio_outside_open_unit_interval(micro_data):
-    tokens, pos, special, vocab = micro_data
+    tokens, pos, _, vocab = micro_data
     cfg = micro_cfg(vocab)
     state = fresh_state(cfg, RunConfig(run_seed=3))
     for ratio in (0.0, 1.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match="ratio"):
-            eval_mlm(state.params, cfg, tokens[:4], pos[:4], special[:4], vocab, ratio=ratio)
+            eval_mlm(state.params, cfg, tokens[:4], pos[:4], vocab, ratio=ratio)
