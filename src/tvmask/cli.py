@@ -96,6 +96,7 @@ def cmd_train(args) -> int:
     resume_step = rundir.resume_step(run_dir, cfg, args.resume, args.force)
     prepared = _prepared_dir(cfg.corpus_prepared, "corpus.prepared")
     tokens, pos_ids, _, vocab = load_packed(prepared)
+    del _  # train derives its own special mask
 
     ckpt_dir = rundir.checkpoint_dir(run_dir)
     with rundir.lock(run_dir):

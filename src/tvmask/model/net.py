@@ -263,32 +263,38 @@ def forward_masked(params, cfg: ModelConfig, token_ids, pad_mask, mrows, mcols):
     return logits, cache
 
 
+def _linear_grads(grads, w, b, x, dy):
+    """Write the gradients of w and b in y = x @ w + b, given dy, into grads' arrays."""
+    np.matmul(x.T, dy, out=grads[w])
+    dy.sum(axis=0, out=grads[b])
+
+
+def _layernorm_grads(params, grads, name, dy, cache):
+    """layernorm_backward, writing the gain's and bias's gradients into grads' arrays."""
+    dx, grads[name + "_g"][...], grads[name + "_b"][...] = layernorm_backward(
+        dy, params[name + "_g"], cache)
+    return dx
+
+
 def _layer_backward(params, p, cfg: ModelConfig, lc, dy, grads):
     """Backward of _layer: dy [len(query rows), H] -> gradient at its input [B * L, H].
 
-    Fills the layer's entries of grads. The residual and q paths reach
-    only the query rows; the k and v paths reach every row.
+    Writes the layer's entries of grads in place. The residual and q
+    paths reach only the query rows; the k and v paths reach every row.
     """
     nh = cfg.heads
     x_in, x_q, segments = lc["x_in"], lc["x_q"], lc["segments"]
     scale = cfg.np_dtype(1.0 / math.sqrt(cfg.hidden_dim // nh))
     # each layernorm_backward overwrites its input; the residual
     # gradients are accumulated in place once their last reader is done
-    d_x1, grads[p + "ln2_g"], grads[p + "ln2_b"] = layernorm_backward(
-        dy, params[p + "ln2_g"], lc["ln2"]
-    )
-    grads[p + "w2"] = lc["ff_act"].T @ d_x1
-    grads[p + "b2"] = d_x1.sum(axis=0)
+    d_x1 = _layernorm_grads(params, grads, p + "ln2", dy, lc["ln2"])
+    _linear_grads(grads, p + "w2", p + "b2", lc["ff_act"], d_x1)
     d_ffpre = d_x1 @ params[p + "w2"].T
     d_ffpre *= gelu_grad(lc["ff_pre"], lc["ff_tanh"])
-    grads[p + "w1"] = lc["x1"].T @ d_ffpre
-    grads[p + "b1"] = d_ffpre.sum(axis=0)
+    _linear_grads(grads, p + "w1", p + "b1", lc["x1"], d_ffpre)
     d_x1 += d_ffpre @ params[p + "w1"].T
-    d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = layernorm_backward(
-        d_x1, params[p + "ln1_g"], lc["ln1"]
-    )
-    grads[p + "wo"] = lc["ctx"].T @ d_r1
-    grads[p + "bo"] = d_r1.sum(axis=0)
+    d_r1 = _layernorm_grads(params, grads, p + "ln1", d_x1, lc["ln1"])
+    _linear_grads(grads, p + "wo", p + "bo", lc["ctx"], d_r1)
     d_ctx = _heads(d_r1 @ params[p + "wo"].T, nh)
     attn, q, k, v = lc["attn"], lc["q"], lc["k"], lc["v"]
     d_scores = np.empty_like(attn)
@@ -304,8 +310,7 @@ def _layer_backward(params, p, cfg: ModelConfig, lc, dy, grads):
     d_q *= scale
     d_k *= scale
     for name, x, d_flat in (("q", x_q, d_q), ("k", x_in, d_k), ("v", x_in, d_v)):
-        grads[p + "w" + name] = x.T @ d_flat
-        grads[p + "b" + name] = d_flat.sum(axis=0)
+        _linear_grads(grads, p + "w" + name, p + "b" + name, x, d_flat)
     d_r1 += d_q @ params[p + "wq"].T
     dx = np.zeros_like(x_in)
     dx[lc["rows"]] = d_r1
@@ -314,18 +319,16 @@ def _layer_backward(params, p, cfg: ModelConfig, lc, dy, grads):
     return dx
 
 
-def backward_masked(params, cfg: ModelConfig, cache, dlogits):
-    """Gradients of a scalar with given dlogits at the masked positions."""
-    grads = {name: None for name in params}
+def backward_masked(params, cfg: ModelConfig, cache, dlogits, out=None):
+    """Gradients of a scalar with given dlogits at the masked positions, in params order.
+
+    Overwrites every array of out (shaped like params; out=None makes them) and returns out."""
+    grads = {name: np.empty_like(p) for name, p in params.items()} if out is None else out
     hc = cache["head"]
-    d_tout = dlogits @ params["tok_emb"]
-    grads["out_bias"] = dlogits.sum(axis=0)
-    d_tpre, grads["head_ln_g"], grads["head_ln_b"] = layernorm_backward(
-        d_tout, params["head_ln_g"], hc["head_ln"]
-    )
+    dlogits.sum(axis=0, out=grads["out_bias"])
+    d_tpre = _layernorm_grads(params, grads, "head_ln", dlogits @ params["tok_emb"], hc["head_ln"])
     d_tpre *= gelu_grad(hc["t_pre"], hc["t_tanh"])
-    grads["head_w"] = hc["h"].T @ d_tpre
-    grads["head_b"] = d_tpre.sum(axis=0)
+    _linear_grads(grads, "head_w", "head_b", hc["h"], d_tpre)
 
     dx = d_tpre @ params["head_w"].T
     for i in reversed(range(cfg.layers)):
@@ -333,17 +336,12 @@ def backward_masked(params, cfg: ModelConfig, cache, dlogits):
 
     token_ids = cache["token_ids"]
     B, L = token_ids.shape
-    d_emb, grads["emb_ln_g"], grads["emb_ln_b"] = layernorm_backward(
-        dx, params["emb_ln_g"], cache["emb_ln"]
-    )
-    d_emb = d_emb.reshape(B, L, -1)
-    d_pos = np.zeros_like(params["pos_emb"])
-    d_pos[:L] = d_emb.sum(axis=0)
-    grads["pos_emb"] = d_pos
-    d_tok = np.zeros_like(params["tok_emb"])
-    np.add.at(d_tok, token_ids, d_emb)
-    d_tok += dlogits.T @ hc["t_out"]  # the tied output projection's gradient
-    grads["tok_emb"] = d_tok
+    d_emb = _layernorm_grads(params, grads, "emb_ln", dx, cache["emb_ln"]).reshape(B, L, -1)
+    grads["pos_emb"][L:] = 0
+    d_emb.sum(axis=0, out=grads["pos_emb"][:L])
+    grads["tok_emb"].fill(0)
+    np.add.at(grads["tok_emb"], token_ids, d_emb)
+    grads["tok_emb"] += dlogits.T @ hc["t_out"]  # the tied output projection's gradient
     return grads
 
 

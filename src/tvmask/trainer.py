@@ -56,8 +56,8 @@ class TrainState:
     opt: AdamW
     tracker: CategoryLossTracker
     step: int = 0
-    # the last step's gradients, kept until the next step's exist: when a step freed
-    # all its arrays, malloc trimmed the heap and re-faulted it, 15 ms a desk step
+    # written by each step's backward_masked; made by the first, above its activations: made in
+    # fresh_state, below them, glibc trimmed the freed activations and re-faulted them every step
     grads: dict | None = None
 
 
@@ -131,11 +131,12 @@ def train_step(state: TrainState, cfg: RunConfig, model_cfg: ModelConfig,
     pad_mask = tokens[rows] == vocab.pad_id
     logits, cache = forward_masked(state.params, model_cfg, corrupted, pad_mask, mrows, mcols)
     nll, dlogits = softmax_xent(logits, labels)
+    del logits  # nothing reads the [M, V] logits after the loss
     loss = float(nll.mean())
     if not math.isfinite(loss):
         raise TrainAbort(t, "loss")
     state.tracker.update(per_category_losses(nll, mpos, mode=cfg.ptw_loss_mode))
-    state.grads = grads = backward_masked(state.params, model_cfg, cache, dlogits)
+    state.grads = grads = backward_masked(state.params, model_cfg, cache, dlogits, out=state.grads)
     grad_norm = clip_global_norm(grads, CLIP_NORM)
     lr = lr_at(t, cfg.lr_base, cfg.lr_warmup, cfg.train_T, ScheduleKind(cfg.lr_shape))
     state.opt.step(state.params, grads, lr, t + 1)

@@ -151,6 +151,32 @@ def test_tied_head_shares_embedding():
     assert np.any(grads["tok_emb"][labels[0]] != 0)
 
 
+def test_backward_out_overwrites_every_entry():
+    # two batches of other shapes through one NaN-filled out: each call returns out
+    # and its arrays, equal to a fresh call's, so no earlier value survives in the
+    # pos_emb rows from L on or in the tok_emb rows of ids the batch lacks
+    cfg = ModelConfig(layers=2, hidden_dim=16, heads=2, ff_dim=32, vocab_size=60,
+                      L_seq=12, dtype="float32")
+    params = init_params(cfg, 3)
+    out = {name: np.full_like(p, np.nan) for name, p in params.items()}
+    arrays = dict(out)
+    rng = np.random.default_rng(7)
+    for B, L in ((3, 9), (2, 7)):
+        ids = rng.integers(0, 30, size=(B, L))  # ids 30-59 are absent
+        pad = np.zeros(ids.shape, dtype=bool)
+        mrows, mcols = np.arange(B).repeat(2), np.tile([1, L - 1], B)
+        labels = rng.integers(0, cfg.vocab_size, size=2 * B)
+        logits, cache = forward_masked(params, cfg, ids, pad, mrows, mcols)
+        dlogits = softmax_xent(logits, labels)[1]
+        fresh = backward_masked(params, cfg, cache, dlogits)
+        assert backward_masked(params, cfg, cache, dlogits, out=out) is out
+        assert list(out) == list(fresh) == list(params)
+        for name in params:
+            assert out[name] is arrays[name], name
+            assert np.array_equal(out[name], fresh[name]), name
+        assert not out["pos_emb"][L:].any()
+
+
 def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(hidden_dim=10, heads=3)

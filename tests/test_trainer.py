@@ -24,6 +24,7 @@ from tvmask.trainer import (
     make_batch,
     save_checkpoint,
     train,
+    train_step,
 )
 
 from conftest import synth_corpus
@@ -157,6 +158,26 @@ def test_checkpoint_resume_identical(micro_data, tmp_path):
         np.testing.assert_array_equal(full_state.params[name], resumed_state.params[name])
     np.testing.assert_array_equal(full_state.tracker.cum_loss, resumed_state.tracker.cum_loss)
     assert resumed_state.step == full_state.step
+
+
+def test_train_step_reuses_one_gradient_set(micro_data, tmp_path):
+    # the first step's backward makes the gradient arrays and every later step
+    # writes into the same ones; a fresh or a loaded state holds none
+    tokens, pos, special, vocab = micro_data
+    cfg = RunConfig(train_T=5, train_batch_size=4, run_seed=5, **MICRO_MODEL)
+    model_cfg = micro_cfg(vocab)
+    state = fresh_state(model_cfg, cfg)
+    assert state.grads is None
+    train_step(state, cfg, model_cfg, tokens, pos, special, vocab)
+    grads, arrays = state.grads, list(state.grads.values())
+    assert list(grads) == list(state.params)
+    for _ in range(3):
+        train_step(state, cfg, model_cfg, tokens, pos, special, vocab)
+        assert state.grads is grads
+        assert all(a is b for a, b in zip(grads.values(), arrays, strict=True))
+    path = tmp_path / "step_00000004.ckpt"
+    save_checkpoint(str(path), state, model_cfg, vocab.content_hash())
+    assert load_checkpoint(str(path))[0].grads is None
 
 
 def test_checkpoint_roundtrip(micro_data, tmp_path):
