@@ -27,9 +27,9 @@ from tvmask.corpus.vocab import build_vocab, check_vocab_size
 from tvmask.masking import ACTION_NAMES, MaskPolicy, build_batch
 from tvmask.rundir import JsonlSink
 from tvmask.schedule import schedule_rows
-from tvmask.trainer import (TrainAbort, check_checkpoint_corpus, check_eval_ratio,
-                            checkpoint_path, checkpoint_steps, eval_mlm, load_checkpoint,
-                            load_params, train)
+from tvmask.trainer import (TrainAbort, check_checkpoint_corpus, check_checkpoint_model,
+                            check_eval_ratio, checkpoint_path, checkpoint_steps, eval_mlm,
+                            load_checkpoint, load_params, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,8 +105,8 @@ def cmd_train(args) -> int:
             state, ckpt_cfg, vocab_hash = load_checkpoint(checkpoint_path(ckpt_dir, resume_step))
             check_checkpoint_corpus(resume_step, ckpt_cfg, vocab_hash, prepared,
                                     vocab.content_hash(), tokens.shape[1])
-            if ckpt_cfg != cfg.model_config(vocab.size, tokens.shape[1]):
-                raise ValueError("checkpoint model config does not match run config")
+            check_checkpoint_model(resume_step, ckpt_cfg,
+                                   cfg.model_config(vocab.size, tokens.shape[1]))
         sink = JsonlSink(run_dir, cfg, resume_step)
         try:
             try:

@@ -77,11 +77,11 @@ class RunConfig:
                 raise ConfigError(f"{_key(f.name)} must be >= 0, got {value}")
         if self.train_batch_size < 1:
             raise ConfigError("train.batch_size must be >= 1")
-        lr_max = float(np.finfo(np.float32).max)  # the model and AdamW run in float32
+        model = _build("model.layers / model.hidden_dim / model.heads / model.ff_dim",
+                       self.model_config, 1, 1)  # placeholder vocabulary size and L_seq
+        lr_max = float(np.finfo(model.np_dtype).max)  # AdamW runs in the model's float type
         if not 0.0 < self.lr_base <= lr_max:
             raise ConfigError(f"lr.base must be in (0, {lr_max:.4g}], got {self.lr_base}")
-        _build("model.layers / model.hidden_dim / model.heads / model.ff_dim",
-               self.model_config, 1, 1)  # placeholder vocabulary size and L_seq
         spec = _build("schedule.p / train.T / schedule.floor", self.schedule_spec)
         if ratio_at(spec, 0) == 0.0:
             raise ConfigError(f"schedule.kind = {self.schedule_kind} masks no token at step 0 "

@@ -58,8 +58,8 @@ def target_count(ratio: float, n_maskable):
     """Number of positions to mask: round(ratio * n_maskable), at least 1
     while the ratio is nonzero so floor-ratio batches still train.
     Elementwise when ``n_maskable`` is an array."""
-    if not 0.0 <= ratio < 1.0:  # NaN fails too
-        raise ValueError(f"ratio must be in [0, 1), got {ratio}")
+    if not 0.0 <= ratio <= 1.0:  # NaN fails too
+        raise ValueError(f"ratio must be in [0, 1], got {ratio}")
     n = np.asarray(n_maskable, dtype=np.int64)
     count = (ratio * n + 0.5).astype(np.int64)
     if ratio > 0.0:

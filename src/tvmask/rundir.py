@@ -11,10 +11,11 @@ import contextlib
 import fcntl
 import json
 import os
+import shutil
 
 from tvmask import config as cfgmod
 from tvmask.postags import UPOS_TAGS
-from tvmask.trainer import checkpoint_steps
+from tvmask.trainer import checkpoint_steps, saves_at
 
 CONFIG = "config.txt"
 METRICS = "metrics.jsonl"
@@ -38,18 +39,18 @@ def read_config(run_dir) -> cfgmod.RunConfig:
 
 def resume_step(run_dir, cfg: cfgmod.RunConfig, resume: bool, force: bool) -> int | None:
     """The checkpoint step a train of cfg in run_dir resumes from, or None
-    for a fresh start. A directory with a config.txt or a checkpoint holds
-    a run, which a fresh start refuses unless forced. A resume must keep
-    the run's config; only the corpus path may move (the vocabulary hash
-    guards the corpus)."""
+    for a fresh start, which empties checkpoints/ and so refuses a directory
+    with a config.txt or a non-empty checkpoints/ unless forced. A resume must
+    keep the run's config but for the corpus path (the vocabulary hash guards it)."""
     has_run = os.path.exists(os.path.join(run_dir, CONFIG))
-    steps = checkpoint_steps(checkpoint_dir(run_dir))
+    ckpt_dir = checkpoint_dir(run_dir)
     if not resume:
-        if (has_run or steps) and not force:
+        if (has_run or os.path.isdir(ckpt_dir) and os.listdir(ckpt_dir)) and not force:
             raise ValueError(f"{run_dir} already contains a run (use --force or --resume)")
         return None
     if not has_run:
         raise ValueError(f"{run_dir} holds no run (no config.txt): nothing to resume")
+    steps = checkpoint_steps(ckpt_dir)
     if not steps:
         raise ValueError(f"{run_dir} has no checkpoint to resume from")
     changed = [key for key in cfgmod.differing_keys(read_config(run_dir), cfg)
@@ -63,13 +64,13 @@ def resume_step(run_dir, cfg: cfgmod.RunConfig, resume: bool, force: bool) -> in
 @contextlib.contextmanager
 def lock(run_dir):
     """Hold an exclusive flock on the run's lock file, making the run
-    directory and its checkpoints/ if missing; the file is removed on exit.
+    directory if missing; the file is removed on exit.
 
     The kernel drops the flock when its process ends, however it ends, so a
     lock file left by a killed run blocks nothing and its content is never
     read. A holder that unlinked the file between our open and our flock
     leaves us locking a dead inode, which counts as held too."""
-    os.makedirs(checkpoint_dir(run_dir), exist_ok=True)
+    os.makedirs(run_dir, exist_ok=True)
     path = os.path.join(run_dir, LOCK)
     fd = os.open(path, os.O_CREAT | os.O_WRONLY)
     try:
@@ -92,28 +93,28 @@ class JsonlSink:
     """Starts a train of cfg in run_dir, under lock(), then writes its
     metrics and snapshot rows there as JSONL.
 
-    A fresh start (resume_step None) removes the replaced run's checkpoint
-    files, partial ``.tmp`` ones included, and its default eval report, and
-    starts both row files empty. A resume keeps the rows the run wrote
-    before its checkpoint at resume_step and appends after them: metrics of
-    steps 0 to resume_step - 1, and one snapshot row per category at each
-    multiple of ptw.snapshot_every below resume_step. If either file's kept
-    rows are not exactly those, it refuses and changes no file. Then it
-    writes cfg to config.txt."""
+    A fresh start (resume_step None) empties the replaced run's checkpoints/
+    in place (it may be a link to another disk), removes its default eval
+    report, and starts both row files empty. A resume keeps the rows the
+    run wrote before its checkpoint at resume_step and appends after them:
+    metrics of steps 0 to resume_step - 1, and one snapshot row per category
+    at each step below resume_step that trainer.saves_at gives for
+    ptw.snapshot_every. If either file's kept rows are not exactly those, it
+    refuses and changes no file. Then it writes cfg to config.txt."""
 
     def __init__(self, run_dir, cfg: cfgmod.RunConfig, resume_step=None):
         mode = "w"
         if resume_step is None:  # nothing of a replaced run may survive into this one
-            for name in os.listdir(checkpoint_dir(run_dir)):
-                if name.startswith("step_"):
-                    os.remove(os.path.join(checkpoint_dir(run_dir), name))
+            ckpt_dir = checkpoint_dir(run_dir)
+            for entry in os.scandir(ckpt_dir) if os.path.isdir(ckpt_dir) else ():
+                remove = shutil.rmtree if entry.is_dir(follow_symlinks=False) else os.remove
+                remove(entry.path)
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(run_dir, EVAL_REPORT))
         else:
-            every = cfg.ptw_snapshot_every
-            snapshot_steps = range(0, resume_step, every) if every else ()
-            expected = {METRICS: list(range(resume_step)),
-                        SNAPSHOTS: [t for t in snapshot_steps for _ in UPOS_TAGS]}
+            every, T = cfg.ptw_snapshot_every, cfg.train_T
+            expected = {METRICS: list(range(resume_step)), SNAPSHOTS: [
+                t for t in range(resume_step) if saves_at(t, every, T) for _ in UPOS_TAGS]}
             kept = {}
             for name, steps in expected.items():
                 path = os.path.join(run_dir, name)

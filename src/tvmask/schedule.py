@@ -15,8 +15,6 @@ import math
 import statistics
 from dataclasses import dataclass
 
-_ONE_EXCLUSIVE = math.nextafter(1.0, 0.0)  # target_count needs ratio < 1; still masks every piece
-
 
 class ScheduleKind(enum.Enum):
     FIXED = "fixed"
@@ -57,7 +55,7 @@ def shape(kind: ScheduleKind, s: float) -> float:
 
 
 def ratio_at(spec: ScheduleSpec, t: int) -> float:
-    """Masking ratio at step t, clamped to [spec.floor, 1).
+    """Masking ratio at step t, clamped to [spec.floor, 1].
 
     The peak is p for the fixed kind and 2p otherwise; cosine adds 0.02
     on top, so its late batches still carry masked tokens. t may equal T
@@ -69,11 +67,7 @@ def ratio_at(spec: ScheduleSpec, t: int) -> float:
     raw = peak * shape(spec.kind, t / spec.T)
     if spec.kind is ScheduleKind.COSINE:
         raw += 0.02
-    if raw < spec.floor:
-        return spec.floor
-    if raw >= 1.0:
-        return _ONE_EXCLUSIVE
-    return raw
+    return min(max(raw, spec.floor), 1.0)
 
 
 def lr_at(t: int, base_lr: float, warmup: int, T: int, kind: ScheduleKind) -> float:

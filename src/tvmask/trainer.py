@@ -158,7 +158,6 @@ def train(cfg: RunConfig, tokens, pos_ids, vocab,
     """
     cfg.validate()
     T = cfg.train_T
-    every = cfg.train_checkpoint_every
     model_cfg = cfg.model_config(vocab.size, tokens.shape[1])
     special = special_positions(tokens)
     if state is None:
@@ -167,14 +166,19 @@ def train(cfg: RunConfig, tokens, pos_ids, vocab,
         sink = ListSink()
     vocab_hash = vocab.content_hash()
     for t in range(state.step, T + 1):
-        if checkpoint_dir and (t == T or every and t % every == 0):
+        if checkpoint_dir and saves_at(t, cfg.train_checkpoint_every, T):
             sink.flush()
             save_checkpoint(checkpoint_path(checkpoint_dir, t), state, model_cfg, vocab_hash)
-        if t == T or cfg.ptw_snapshot_every and t % cfg.ptw_snapshot_every == 0:
+        if saves_at(t, cfg.ptw_snapshot_every, T):
             sink.on_snapshots(_snapshot_rows(state.tracker, t))
         if t < T:
             sink.on_metrics(train_step(state, cfg, model_cfg, tokens, pos_ids, special, vocab))
     return state
+
+
+def saves_at(t: int, every: int, T: int) -> bool:
+    """The save cadence: a run of T steps saves at each multiple of every (none if 0), and T."""
+    return t == T or every > 0 and t % every == 0
 
 
 def checkpoint_path(checkpoint_dir, step: int) -> str:
@@ -277,8 +281,17 @@ def check_checkpoint_corpus(step, ckpt_cfg: ModelConfig, ckpt_hash, prepared, vo
                          f"but {prepared} is packed at L_seq {L_seq}")
 
 
+def check_checkpoint_model(step, ckpt_cfg: ModelConfig, model_cfg: ModelConfig) -> None:
+    """Raise ValueError naming each field in which checkpoint ``step``'s model is not model_cfg."""
+    differ = [f"{k} {v}, not the config's {getattr(model_cfg, k)}"
+              for k, v in ckpt_cfg.__dict__.items() if v != getattr(model_cfg, k)]
+    if differ:
+        raise ValueError(f"checkpoint {step} was trained with " + "; ".join(differ))
+
+
 def check_eval_ratio(ratio: float) -> None:
-    """Raise ValueError unless the eval masking ratio lies in (0, 1)."""
+    """Raise ValueError unless the eval masking ratio lies in (0, 1): a held-out
+    score predicts each masked piece from unmasked context, and at 1 a row has none."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"eval ratio must be in (0, 1), got {ratio}")
 
@@ -295,8 +308,7 @@ def eval_mlm(params, model_cfg: ModelConfig, tokens, pos_ids, vocab,
     L2 cache's size rather than 8 MB at 32 sequences, and the activations
     and cache each chunk holds are a quarter as large. Reports mean
     token loss per category plus the function / non-function / other
-    group means (means over each group's present categories). The ratio
-    must lie in (0, 1).
+    group means (means over each group's present categories).
     """
     check_eval_ratio(ratio)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_EVAL]))

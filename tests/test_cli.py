@@ -254,18 +254,31 @@ def test_train_force_starts_fresh_run(workdir, tmp_path, capsys):
     new = write_cfg(tmp_path / "new.cfg", micro_config(
         workdir, **{"train.T": 10, "train.checkpoint_every": 5}))
     out, ref, stray = tmp_path / "run", tmp_path / "ref", tmp_path / "stray"
+    notes = tmp_path / "notes"
     assert main(["train", old, "--out", str(out)]) == 0
     assert main(["eval", "--run", str(out), "--heldout", str(workdir / "heldout.txt"),
                  "--checkpoint", "latest"]) == 0
-    # a directory holding another run's checkpoints but no config.txt holds a run too
-    shutil.copytree(out / "checkpoints", stray / "checkpoints")
+    # a fresh start empties checkpoints/, so one holding another run's checkpoints (here
+    # through a link to another directory) or any file at all is refused without --force
+    shutil.copytree(out / "checkpoints", tmp_path / "elsewhere")
+    stray.mkdir()
+    (stray / "checkpoints").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+    (notes / "checkpoints").mkdir(parents=True)
+    (notes / "checkpoints" / "notes.txt").write_text("kept")
     capsys.readouterr()
-    assert main(["train", new, "--out", str(stray)]) == 1
-    assert "--force" in capsys.readouterr().err
+    for run in (stray, notes):
+        assert main(["train", new, "--out", str(run)]) == 1, run.name
+        assert "--force" in capsys.readouterr().err, run.name
+    assert os.listdir(notes / "checkpoints") == ["notes.txt"]
+    assert not (notes / "metrics.jsonl").exists()
     for run in (out, stray):  # a kill during a checkpoint save leaves a partial file
         (run / "checkpoints" / "step_00000007.ckpt.tmp").write_bytes(b"partial")
+        (run / "checkpoints" / "notes.txt").write_text("stray")
+        (run / "checkpoints" / "old").mkdir()
+        (run / "checkpoints" / "old" / "step_00000012.ckpt").write_bytes(b"moved aside")
         assert main(["train", new, "--out", str(run), "--force"]) == 0, run.name
     assert main(["train", new, "--out", str(ref)]) == 0
+    assert (stray / "checkpoints").is_symlink()  # emptied in place, the link kept
 
     # only this run's rows and checkpoints remain, and no report on the replaced run's
     for run in (out, stray):
@@ -284,6 +297,25 @@ def test_train_force_starts_fresh_run(workdir, tmp_path, capsys):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     state, _, _ = load_checkpoint(str(out / "checkpoints" / "step_00000010.ckpt"))
     assert state.step == 10
+
+
+def test_train_resume_refuses_checkpoint_of_another_model(workdir, tmp_path, capsys):
+    # the run's config is unchanged, but its checkpoints come from a run with 4 heads
+    cfg = write_cfg(tmp_path / "a.cfg", micro_config(workdir))
+    other = write_cfg(tmp_path / "b.cfg", micro_config(workdir, **{"model.heads": 4}))
+    out, donor = tmp_path / "run", tmp_path / "donor"
+    assert main(["train", cfg, "--out", str(out)]) == 0
+    assert main(["train", other, "--out", str(donor)]) == 0
+    shutil.copytree(donor / "checkpoints", out / "checkpoints", dirs_exist_ok=True)
+    kept = {name: (out / name).read_bytes()
+            for name in ("metrics.jsonl", "snapshots.jsonl", "config.txt")}
+    capsys.readouterr()
+    assert main(["train", cfg, "--out", str(out), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint 24 was trained with heads 4, not the config's 2" in err, err
+    assert "Traceback" not in err, err
+    for name, data in kept.items():
+        assert (out / name).read_bytes() == data, name
 
 
 def test_train_refused_resume_keeps_config(workdir, tmp_path, capsys):
@@ -1094,7 +1126,7 @@ def test_mask_debug_json(workdir, capsys):
 def test_mask_debug_nan_ratio_rejected(workdir, capsys):
     assert main(["mask-debug", "--prepared", str(workdir / "prep"), "--ratio", "nan"]) == 1
     captured = capsys.readouterr()
-    assert "ratio must be in [0, 1), got nan" in captured.err and not captured.out
+    assert "ratio must be in [0, 1], got nan" in captured.err and not captured.out
 
 
 def test_mask_debug_refuses_cut_vocabulary(workdir, tmp_path, capsys):

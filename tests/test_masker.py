@@ -63,12 +63,11 @@ def test_target_count_rounding_bound():
 
 
 def test_target_count_validation():
-    with pytest.raises(ValueError):
-        target_count(1.0, 10)
-    with pytest.raises(ValueError):
-        target_count(-0.1, 10)
-    with pytest.raises(ValueError, match="ratio"):
-        target_count(float("nan"), 10)
+    assert target_count(1.0, 10) == 10  # ratio 1 masks every maskable position
+    np.testing.assert_array_equal(target_count(1.0, np.array([0, 1, 7])), [0, 1, 7])
+    for ratio in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"ratio must be in \[0, 1\]"):
+            target_count(ratio, 10)
 
 
 # ------------------------------------------------------------ selection

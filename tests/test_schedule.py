@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tvmask.masking import MaskPolicy, build_batch
 from tvmask.schedule import (
     ScheduleKind,
     ScheduleSpec,
@@ -11,6 +12,8 @@ from tvmask.schedule import (
     ratio_at,
     schedule_rows,
 )
+
+from conftest import make_sequence
 
 ALL_KINDS = list(ScheduleKind)
 
@@ -116,9 +119,21 @@ def test_floor_clamps():
     assert lin.floor == 0.0
 
 
-def test_ratio_stays_below_one():
-    spec = ScheduleSpec(ScheduleKind.LINEAR, p=0.5, T=10)
-    assert ratio_at(spec, 0) < 1.0
+def test_ratio_clamps_to_one(letters_vocab):
+    # a decaying kind starts at 2p, cosine at 2p + 0.02: at p 0.5 both clamp to 1,
+    # a ratio mask plans take, and every body piece of every row is masked
+    for kind in (ScheduleKind.LINEAR, ScheduleKind.COSINE):
+        spec = ScheduleSpec(kind, p=0.5, T=10)
+        assert ratio_at(spec, 0) == 1.0, kind
+        assert max(r for _, r in schedule_rows(spec)) == 1.0, kind
+    seqs = [make_sequence(n=12, n_special_tail=k) for k in (1, 3, 5)]
+    special = np.stack([s.special_mask for s in seqs])
+    plan = build_batch(np.stack([s.token_ids for s in seqs]), np.stack([s.pos_ids for s in seqs]),
+                       special, ratio_at(spec, 0), MaskPolicy(), letters_vocab,
+                       np.random.default_rng(0))
+    masked = np.zeros_like(special)
+    masked[plan.rows, plan.cols] = True
+    np.testing.assert_array_equal(masked, ~special)
 
 
 def test_step_out_of_range():
@@ -151,7 +166,7 @@ def test_schedule_rows_covers_inclusive_range():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_lr_mirrors_ratio_shape(kind):
     # with no warmup, lr / base_lr is the ratio with cosine's offset removed,
-    # over its peak, wherever the floor and the < 1 clamp leave the ratio alone
+    # over its peak, wherever the floor and the clamp at 1 leave the ratio alone
     base = 3e-4
     offset = 0.02 if kind is ScheduleKind.COSINE else 0.0
     checked = 0
@@ -161,7 +176,7 @@ def test_lr_mirrors_ratio_shape(kind):
             spec = ScheduleSpec(kind, p=p, T=T)
             for t in range(T + 1):
                 r = ratio_at(spec, t)
-                if not spec.floor < r < math.nextafter(1.0, 0.0):
+                if not spec.floor < r < 1.0:
                     continue
                 assert lr_at(t, base, 0, T, kind) / base == pytest.approx(
                     (r - offset) / peak, abs=1e-12), (p, T, t)
